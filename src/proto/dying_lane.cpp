@@ -20,9 +20,10 @@ Port GtdMachine::die_succ(DieKind kind) const {
   unreachable("die_succ");
 }
 
-void GtdMachine::handle_die(Ctx& ctx) {
+void GtdMachine::handle_die(Ctx& ctx, unsigned kinds) {
   for (int i = 0; i < kNumSnakeKinds; ++i) {
     const DieKind kind = die_kind(i);
+    if (!(kinds & (1u << i))) continue;  // no character of this kind
     for (Port p = 0; p < env_.delta; ++p) {
       const Character* in = ctx.input(p);
       if (!in || !in->die[i]) continue;

@@ -19,9 +19,10 @@
 
 namespace dtop {
 
-void GtdMachine::handle_grow(Ctx& ctx) {
+void GtdMachine::handle_grow(Ctx& ctx, unsigned kinds) {
   for (int i = 0; i < kNumSnakeKinds; ++i) {
     const GrowKind kind = grow_kind(i);
+    if (!(kinds & (1u << i))) continue;  // no character of this kind
     if (grow_killed_now_[i]) continue;  // erased by a KILL this pulse
     for (Port p = 0; p < env_.delta; ++p) {
       const Character* in = ctx.input(p);

@@ -1,6 +1,36 @@
 #include "proto/gtd_machine.hpp"
 
 namespace dtop {
+namespace {
+
+// Lane-presence bits of one tick's inputs: which handlers have work.
+// Snake kind i sets bit i (grow) or bit kDieShift + i (die).
+constexpr int kDieShift = 3;
+constexpr unsigned kGrowLanes = 0x7u;
+constexpr unsigned kDieLanes = 0x7u << kDieShift;
+constexpr unsigned kKillLane = 1u << 6;
+constexpr unsigned kBkillLane = 1u << 7;
+constexpr unsigned kRloopLane = 1u << 8;
+constexpr unsigned kBloopLane = 1u << 9;
+constexpr unsigned kDfsLane = 1u << 10;
+
+// Branch-free: one OR per lane, whatever the character carries.
+unsigned lanes_of(const Character& c) {
+  const auto bit = [](bool present, unsigned lane) {
+    return static_cast<unsigned>(present) * lane;
+  };
+  unsigned m = 0;
+  for (int i = 0; i < kNumSnakeKinds; ++i) {
+    m |= bit(c.grow[i].has_value(), 1u << i);
+    m |= bit(c.die[i].has_value(), 1u << (kDieShift + i));
+  }
+  return m | bit(c.kill, kKillLane) | bit(c.bkill, kBkillLane) |
+         bit(c.rloop.has_value(), kRloopLane) |
+         bit(c.bloop.has_value(), kBloopLane) |
+         bit(c.dfs.has_value(), kDfsLane);
+}
+
+}  // namespace
 
 GtdMachine::GtdMachine(const MachineEnv& env, const Config& cfg)
     : env_(env), cfg_(cfg) {
@@ -17,16 +47,25 @@ void GtdMachine::step(Ctx& ctx) {
   // (delivered as an engine schedule, not a wire character).
   if (env_.is_root && !st_.dfs.started) dfs_start_root(ctx);
 
-  // Lane order within the tick: cleanup first (a KILL contact erases
-  // characters arriving in the same pulse), then snakes, then tokens, then
-  // the DFS driver; finally all emissions staged for this tick depart.
-  handle_kill(ctx);
-  handle_grow(ctx);
-  handle_die(ctx);
-  handle_rloop(ctx);
-  handle_bloop(ctx);
-  handle_dfs(ctx);
-  emit_pending(ctx);
+  // The in-ports are read once into a lane-presence mask, and only the
+  // handlers whose lanes carry a character this tick run (the snake
+  // handlers also skip their absent kinds); a handler with no input on its
+  // lane is a no-op, so skipping it changes nothing. Lane order within the
+  // tick: cleanup first (a KILL contact erases characters arriving in the
+  // same pulse), then snakes, then tokens, then the DFS driver. Finally
+  // the emissions due this tick depart — only a non-idle machine has any.
+  unsigned lanes = 0;
+  for (Port p = 0; p < env_.delta; ++p) {
+    const Character* in = ctx.input(p);
+    if (in) lanes |= lanes_of(*in);
+  }
+  if (lanes & (kKillLane | kBkillLane)) handle_kill(ctx);
+  if (lanes & kGrowLanes) handle_grow(ctx, lanes & kGrowLanes);
+  if (lanes & kDieLanes) handle_die(ctx, (lanes & kDieLanes) >> kDieShift);
+  if (lanes & kRloopLane) handle_rloop(ctx);
+  if (lanes & kBloopLane) handle_bloop(ctx);
+  if (lanes & kDfsLane) handle_dfs(ctx);
+  if (!idle()) emit_pending(ctx);
 }
 
 bool GtdMachine::idle() const {

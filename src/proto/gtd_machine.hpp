@@ -59,14 +59,16 @@ class GtdMachine {
   bool has_grow_state(Ctx& ctx, bool bca_lane) const;
 
   // --- grow_lane.cpp
-  void handle_grow(Ctx& ctx);
+  // `kinds` (here and in handle_die): bit i set iff some in-port carries a
+  // character of snake kind i this tick.
+  void handle_grow(Ctx& ctx, unsigned kinds);
   void handle_grow_char(Ctx& ctx, GrowKind kind, SnakeChar c, Port p);
   void forward_grow_char(GrowKind kind, const SnakeChar& c);
   void flood_baby_snake(GrowKind kind);
   void converter_consume(Ctx& ctx, StreamConverter& conv, const SnakeChar& c);
 
   // --- dying_lane.cpp
-  void handle_die(Ctx& ctx);
+  void handle_die(Ctx& ctx, unsigned kinds);
   void handle_die_char(Ctx& ctx, DieKind kind, const SnakeChar& c, Port p);
   Port die_succ(DieKind kind) const;
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "proto/alphabet.hpp"
+#include "support/error.hpp"
 #include "support/fixed_vector.hpp"
 
 namespace dtop {
@@ -84,11 +85,30 @@ struct PendingSnake {
   std::uint8_t delay = 0;  // emit when 0 (during the current tick)
 };
 
-bool is_grow_lane(SnakeLane lane);
-GrowKind grow_of(SnakeLane lane);
-DieKind die_of(SnakeLane lane);
-SnakeLane lane_of(GrowKind k);
-SnakeLane lane_of(DieKind k);
+// Lane <-> kind mapping. Inline: every emitted snake character passes
+// through these.
+inline bool is_grow_lane(SnakeLane lane) {
+  return lane == SnakeLane::kIG || lane == SnakeLane::kOG ||
+         lane == SnakeLane::kBG;
+}
+
+inline GrowKind grow_of(SnakeLane lane) {
+  DTOP_CHECK(is_grow_lane(lane), "not a grow lane");
+  return static_cast<GrowKind>(lane);
+}
+
+inline DieKind die_of(SnakeLane lane) {
+  DTOP_CHECK(!is_grow_lane(lane), "not a die lane");
+  return static_cast<DieKind>(static_cast<int>(lane) -
+                              static_cast<int>(SnakeLane::kID));
+}
+
+inline SnakeLane lane_of(GrowKind k) { return static_cast<SnakeLane>(k); }
+
+inline SnakeLane lane_of(DieKind k) {
+  return static_cast<SnakeLane>(static_cast<int>(SnakeLane::kID) +
+                                static_cast<int>(k));
+}
 
 // Pending single-slot emissions.
 struct PendingRcaToken {

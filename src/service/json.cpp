@@ -208,7 +208,16 @@ std::string JsonObject::raw_token(const std::string& key) const {
     case JsonValue::Kind::kNull: return "null";
     case JsonValue::Kind::kBool: return v->boolean ? "true" : "false";
     case JsonValue::Kind::kNumber: return v->text;
-    case JsonValue::Kind::kString: return "\"" + json_escape(v->text) + "\"";
+    case JsonValue::Kind::kString: {
+      // Appended piecewise: `"\"" + s + "\""` trips GCC 12's -Wrestrict.
+      const std::string body = json_escape(v->text);
+      std::string out;
+      out.reserve(body.size() + 2);
+      out += '"';
+      out += body;
+      out += '"';
+      return out;
+    }
   }
   return "";
 }

@@ -22,15 +22,21 @@
 //
 // Wire occupancy is a hierarchical bitmap (detail::WireBitmap): one bit per
 // wire at level 0, one summary bit per 64-wire word at level 1, one per
-// 64 l1-words at level 2. Staging a send is an idempotent relaxed fetch_or;
-// the per-tick receiver scan walks only the set summary words, consuming 64
-// wires per load. Determinism at any thread count falls out of three facts:
+// 64 l1-words at level 2. Staging a send is an idempotent OR; the per-tick
+// receiver scan walks only the set summary words, consuming 64 wires per
+// load. A tick that forks across the pool stages with relaxed fetch_or
+// (detail::wire_stage); a tick run inline on the stepping thread — the
+// same decision that skips the fork — has a single writer and stages with
+// plain loads and stores (detail::wire_stage_serial). Both leave the same
+// bitmap words and return the same fresh/resend answers. Determinism at
+// any thread count falls out of three facts:
 // (a) the bitmap is an OR-accumulator, so the staged *set* is independent of
-// worker interleaving; (b) each wire has exactly one source node, stepped by
-// exactly one worker, so the fresh-vs-resend decision for a wire is made by
-// a single thread; (c) the receiver sweep runs sequentially in ascending
-// wire order after the tick barrier, so the next active set — and every
-// trace event derived from it — is a pure function of the staged set.
+// worker interleaving and of which staging path wrote it; (b) each wire has
+// exactly one source node, stepped by exactly one thread, so the
+// fresh-vs-resend decision for a wire is made by a single thread; (c) the
+// receiver sweep runs sequentially in ascending wire order after the tick
+// barrier, so the next active set — and every trace event derived from it
+// — is a pure function of the staged set.
 //
 // Memory layout: every piece of per-run state — machine array, the two
 // wire-message buffers and their bitmaps, the flattened port->wire tables,
@@ -104,6 +110,25 @@ inline bool wire_stage(WireBitmap& b, WireId w) {
       __atomic_fetch_or(b.l2 + (i0 >> 12),
                         std::uint64_t{1} << ((i0 >> 6) & 63),
                         __ATOMIC_RELAXED);
+  }
+  return true;
+}
+
+// Single-writer twin of wire_stage for ticks stepped inline on one thread:
+// the same bits, summaries and fresh/resend answer, with plain loads and
+// stores instead of locked read-modify-writes. Valid only while no other
+// thread stages into `b` — the engine uses it exactly on ticks it does not
+// fork.
+inline bool wire_stage_serial(WireBitmap& b, WireId w) {
+  const std::size_t i0 = w >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (w & 63);
+  const std::uint64_t old = b.l0[i0];
+  if (old & bit) return false;
+  b.l0[i0] = old | bit;
+  if (old == 0) {
+    const std::uint64_t old1 = b.l1[i0 >> 6];
+    b.l1[i0 >> 6] = old1 | (std::uint64_t{1} << (i0 & 63));
+    if (old1 == 0) b.l2[i0 >> 12] |= std::uint64_t{1} << ((i0 >> 6) & 63);
   }
   return true;
 }
@@ -229,13 +254,16 @@ class StepContext {
 
   // Staged output character for out-port p (created blank on first use).
   // Requires the port to be connected. The common resend path (wire already
-  // carries a staged character this tick) is a single relaxed load and bit
-  // test against the wire bitmap.
+  // carries a staged character this tick) is a single load and bit test
+  // against the wire bitmap; a fresh send on an inline tick (`serial_`)
+  // stages with plain stores, on a forked tick with relaxed fetch_or.
   Message& out(Port p) {
     const WireId w = out_wires_[p];
     DTOP_CHECK(w != kNoWire, "send on unconnected out-port");
     Message& slot = next_msgs_[w];
-    if (detail::wire_stage(*next_stage_, w)) {
+    const bool fresh = serial_ ? detail::wire_stage_serial(*next_stage_, w)
+                               : detail::wire_stage(*next_stage_, w);
+    if (fresh) {
       ++scratch_->msgs;
       slot = Message{};  // blank-on-first-use; lanes merge into it
     }
@@ -253,6 +281,9 @@ class StepContext {
   detail::WireBitmap* next_stage_ = nullptr;
   EngineScratch* scratch_ = nullptr;
   Tick tick_ = 0;
+  // True when this node is the only writer of the staging bitmap this tick
+  // (inline ticks); false keeps the concurrency-safe atomic staging.
+  bool serial_ = false;
 };
 
 template <typename M>
@@ -497,7 +528,8 @@ class SyncEngine {
         const std::size_t end = count * static_cast<std::size_t>(t + 1) /
                                 static_cast<std::size_t>(nthreads);
         const NodeId* act = active_.data();
-        for (std::size_t i = begin; i < end; ++i) step_node(act[i], s);
+        for (std::size_t i = begin; i < end; ++i)
+          step_node(act[i], s, /*serial=*/false);
         if (timed) {
           s.step_ns = static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -506,9 +538,12 @@ class SyncEngine {
         }
       });
     } else if (count > 0) {
+      // Inline tick: the stepping thread is the only writer, so wires are
+      // staged without atomics.
       EngineScratch& s = scratch_[0];
       const NodeId* act = active_.data();
-      for (std::size_t i = 0; i < count; ++i) step_node(act[i], s);
+      for (std::size_t i = 0; i < count; ++i)
+        step_node(act[i], s, /*serial=*/true);
     }
     if (timed) t2 = clock::now();
 
@@ -614,9 +649,10 @@ class SyncEngine {
     return p;
   }
 
-  void step_node(NodeId v, EngineScratch& s) {
+  void step_node(NodeId v, EngineScratch& s, bool serial) {
     StepContext<Message> ctx;
     ctx.tick_ = tick_;
+    ctx.serial_ = serial;
     const std::size_t row = std::size_t{v} * kMaxDegree;
     const WireId* in_row = node_in_wires_.data() + row;
     const Message* cur_msgs = msgs_[cur_].data();

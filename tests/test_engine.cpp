@@ -2,12 +2,15 @@
 // scheduling, and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "graph/families.hpp"
 #include "sim/engine.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace dtop {
@@ -142,6 +145,73 @@ TEST(Engine, ParallelMatchesSequentialHops) {
     EXPECT_EQ(seq.machine(v).last_hops(), par.machine(v).last_hops()) << v;
   }
   EXPECT_EQ(seq.stats().messages, par.stats().messages);
+}
+
+// A wire bitmap over caller-owned words, laid out l0 | l1 | l2.
+struct OwnedBitmap {
+  explicit OwnedBitmap(std::size_t wires)
+      : w0(detail::bitmap_words(wires)),
+        w1(detail::bitmap_words(w0)),
+        w2(detail::bitmap_words(w1)),
+        words(w0 + w1 + w2, 0) {
+    bm.l0 = words.data();
+    bm.l1 = bm.l0 + w0;
+    bm.l2 = bm.l1 + w1;
+    bm.l2_words = w2;
+  }
+  std::size_t w0, w1, w2;
+  std::vector<std::uint64_t> words;
+  detail::WireBitmap bm;
+};
+
+TEST(WireStaging, SerialAndAtomicPathsAgree) {
+  // Inline ticks stage with plain stores, forked ticks with relaxed
+  // fetch_or; the two must be interchangeable. Seeded random send
+  // sequences mix fresh sends, resends within the tick, and wires on
+  // either side of every l0-word (63/64), l1-word (4095/4096) and l2-word
+  // (262143/262144) boundary. Each tick must give the same fresh/resend
+  // answers and leave the same words at every level.
+  constexpr std::size_t kWires = 262144 + 4096 + 100;
+  const WireId boundaries[] = {0,     63,     64,     4095,  4096,
+                               4159,  262143, 262144, 266239, 266240,
+                               kWires - 1};
+  OwnedBitmap atomic(kWires), serial(kWires);
+  ASSERT_EQ(atomic.w2, 2u);  // the sequences cross an l2 word too
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Rng rng(seed);
+    for (int tick = 0; tick < 20; ++tick) {
+      std::vector<WireId> sent;
+      const int sends = static_cast<int>(rng.next_range(1, 3000));
+      for (int i = 0; i < sends; ++i) {
+        WireId w;
+        const std::uint64_t pick = rng.next_below(4);
+        if (pick == 0 && !sent.empty()) {
+          w = sent[rng.next_below(sent.size())];  // resend
+        } else if (pick == 1) {
+          w = boundaries[rng.next_below(std::size(boundaries))];
+        } else {
+          w = static_cast<WireId>(rng.next_below(kWires));
+        }
+        sent.push_back(w);
+        const bool a = detail::wire_stage(atomic.bm, w);
+        const bool b = detail::wire_stage_serial(serial.bm, w);
+        ASSERT_EQ(a, b) << "seed " << seed << " tick " << tick << " wire "
+                        << w;
+      }
+      ASSERT_EQ(atomic.words, serial.words)
+          << "seed " << seed << " tick " << tick;
+      std::vector<WireId> seen_a, seen_s;
+      detail::bitmap_for_each(atomic.bm,
+                              [&](WireId w) { seen_a.push_back(w); });
+      detail::bitmap_for_each(serial.bm,
+                              [&](WireId w) { seen_s.push_back(w); });
+      EXPECT_EQ(seen_a, seen_s);
+      detail::bitmap_clear(atomic.bm);
+      detail::bitmap_clear(serial.bm);
+      ASSERT_EQ(std::count(serial.words.begin(), serial.words.end(), 0u),
+                static_cast<std::ptrdiff_t>(serial.words.size()));
+    }
+  }
 }
 
 TEST(ThreadPool, AllIndicesRun) {

@@ -26,10 +26,19 @@ struct Params {
 
 std::string param_name(const testing::TestParamInfo<Params>& info) {
   const Params& p = info.param;
-  return "n" + std::to_string(p.nodes) + "_d" +
-         std::to_string(static_cast<int>(p.delta)) + "_a" +
-         std::to_string(static_cast<int>(p.avg_out * 10)) + "_s" +
-         std::to_string(p.seed);
+  // Appended piecewise: a chained `"n" + ... + "_s" + ...` trips GCC 12's
+  // -Wrestrict in optimized builds.
+  std::string name;
+  name.reserve(32);
+  name += 'n';
+  name += std::to_string(p.nodes);
+  name += "_d";
+  name += std::to_string(static_cast<int>(p.delta));
+  name += "_a";
+  name += std::to_string(static_cast<int>(p.avg_out * 10));
+  name += "_s";
+  name += std::to_string(p.seed);
+  return name;
 }
 
 class GtdRandomSweep : public testing::TestWithParam<Params> {};

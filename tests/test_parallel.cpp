@@ -9,6 +9,9 @@
 #include "core/verify.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
+#include "obs/engine_metrics.hpp"
+#include "obs/registry.hpp"
+#include "trace/container.hpp"
 #include "trace/duration_observer.hpp"
 #include "trace/trace_io.hpp"
 
@@ -113,6 +116,44 @@ TEST(ParallelEngine, TraceBytesIdenticalAcrossThreadCounts) {
           << label << " at " << threads << " threads";
     }
   }
+}
+
+// DTR2 bytes of a full recording at `threads` engine threads; `metrics`
+// (optional) is attached to the run's engine.
+std::string record_dtr2_bytes(const PortGraph& g, NodeId root, int threads,
+                              std::size_t grain,
+                              const obs::EngineMetrics* metrics) {
+  trace::TraceRecorder rec;
+  GtdOptions opt;
+  opt.num_threads = threads;
+  opt.parallel_grain = grain;
+  opt.trace = &rec;
+  opt.metrics = metrics;
+  const GtdResult r = run_gtd(g, root, opt);
+  EXPECT_EQ(r.status, RunStatus::kTerminated) << threads << " threads";
+  std::ostringstream os;
+  trace::write_trace_dtr2(os, rec.take());
+  return os.str();
+}
+
+TEST(ParallelEngine, MixedForkedAndInlineTicksKeepDtr2BytesIdentical) {
+  // Inline ticks stage wires with plain stores, forked ticks with relaxed
+  // atomics. At 4 threads a grain of 2 forks the ticks with >= 4 active
+  // nodes and runs the rest inline, so one run interleaves both staging
+  // paths — and its DTR2 file must still equal the 1-thread recording.
+  const PortGraph g = de_bruijn(4);
+  const std::string base = record_dtr2_bytes(g, 0, 1, 0, nullptr);
+  ASSERT_FALSE(base.empty());
+
+  obs::Registry registry;
+  const obs::EngineMetrics metrics = obs::EngineMetrics::create(registry);
+  const std::string mixed = record_dtr2_bytes(g, 0, 4, 2, &metrics);
+  const std::uint64_t ticks = metrics.ticks->total();
+  const std::uint64_t forked = metrics.forked_ticks->total();
+  ASSERT_GT(ticks, 0u);
+  EXPECT_GT(forked, 0u) << "no tick forked";
+  EXPECT_LT(forked, ticks) << "every tick forked";
+  EXPECT_EQ(mixed, base);
 }
 
 TEST(ParallelEngine, GrainOneForcesForkAndStaysIdentical) {

@@ -129,9 +129,21 @@ TEST(ServerTcp, EndToEndSessionCacheHitAndShutdown) {
   const std::optional<std::string> r3 = client.recv();
   ASSERT_TRUE(r1 && r2 && r3);
   EXPECT_NE(r1->find("\"ok\": true"), std::string::npos);
-  EXPECT_TRUE(r2->find("\"cache\": \"hit\"") != std::string::npos ||
-              r2->find("\"cache\": \"coalesced\"") != std::string::npos)
-      << *r2;
+  EXPECT_NE(r2->find("\"ok\": true"), std::string::npos);
+  // With 2 workers either pipelined identical determine can reach the
+  // cache first: exactly one of them runs the protocol (miss), the other
+  // is answered from the cache (hit) or joins the run in flight
+  // (coalesced); the stats line confirms a single protocol run.
+  const auto has = [](const std::string& r, const char* outcome) {
+    return r.find(std::string("\"cache\": \"") + outcome + "\"") !=
+           std::string::npos;
+  };
+  const auto reused = [&](const std::string& r) {
+    return has(r, "hit") || has(r, "coalesced");
+  };
+  EXPECT_TRUE((has(*r1, "miss") && reused(*r2)) ||
+              (reused(*r1) && has(*r2, "miss")))
+      << *r1 << "\n" << *r2;
   EXPECT_NE(r3->find("\"executions\": 1"), std::string::npos) << *r3;
 
   client.send(R"({"op": "shutdown"})");
