@@ -141,8 +141,7 @@ struct TraceOptions {
   std::string out;           // trace-writing actions: output ("-" = stdout)
 
   // trace-writing actions (record / extract / splice / overwrite)
-  std::string format = "dtr2";  // dtr2 (compressed, indexed) | dtr1
-  std::string codec;            // dtr2 block codec ("" = build default)
+  std::string codec;         // dtr2 block codec ("" = build default)
 
   // inspect / diff / replay
   std::string trace_file;    // --trace FILE (diff: the A side)

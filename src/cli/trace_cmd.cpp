@@ -122,15 +122,11 @@ trace::Dtr2Options make_dtr2_options(const TraceOptions& opt) {
   return d;
 }
 
-// Writes `t` to opt.out in the selected container (--format/--codec).
+// Writes `t` to opt.out as DTR2 with the selected --codec.
 void write_trace_output(const TraceOptions& opt, std::ostream& fallback,
                         const trace::RecordedTrace& t) {
   with_output(opt.out, fallback, [&](std::ostream& os) {
-    if (opt.format == "dtr1") {
-      trace::write_trace(os, t);
-    } else {
-      trace::write_trace_dtr2(os, t, make_dtr2_options(opt));
-    }
+    trace::write_trace_dtr2(os, t, make_dtr2_options(opt));
   });
 }
 
@@ -520,11 +516,6 @@ TraceOptions parse_trace_args(const std::vector<std::string>& args) {
       opt.spans = true;
     } else if (writes_trace && f == "--out") {
       opt.out = w.value();
-    } else if (writes_trace && f == "--format") {
-      opt.format = w.value();
-      if (opt.format != "dtr1" && opt.format != "dtr2") {
-        throw UsageError("--format must be dtr1 or dtr2");
-      }
     } else if (writes_trace && f == "--codec") {
       opt.codec = w.value();
       trace::TraceCodec c = trace::TraceCodec::kRaw;

@@ -3,131 +3,106 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <ostream>
+#include <sstream>
+#include <string_view>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "support/error.hpp"
+#include "support/frame.hpp"
+#include "support/function_ref.hpp"
 
 namespace dtop::service {
 namespace {
 
 constexpr std::size_t kHeaderSize = sizeof(kCacheStoreMagic) + 4;
-// Framing sanity bound: a record is one map text plus small metadata, and
-// map texts for even huge networks are far below this. A length field above
-// it can only be torn or corrupt framing.
-constexpr std::uint32_t kMaxPayload = 256u * 1024u * 1024u;
+// Every record is one frame of this kind, stored raw (codec 0).
+constexpr std::uint8_t kRecordKind = 1;
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
+// The header's version (a u32 little-endian after the magic), or 0 when the
+// bytes do not open with the magic.
+std::uint32_t header_version(std::string_view bytes) {
+  if (bytes.size() < kHeaderSize ||
+      bytes.substr(0, sizeof(kCacheStoreMagic)) !=
+          std::string_view(kCacheStoreMagic, sizeof(kCacheStoreMagic))) {
+    return 0;
   }
-  return h;
-}
-
-// Integers travel little-endian, fixed width: the store is a per-shard
-// local file, but a byte-stable format costs nothing and keeps the
-// robustness tests' hand-built fixtures portable.
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
-}
-
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  bool u32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool str(std::string* s) {
-    std::uint64_t len = 0;
-    if (!u64(&len) || size_ - pos_ < len) return false;
-    s->assign(data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool done() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-bool decode_record(const std::string& payload, CacheKey* key,
-                   CachedMap* value) {
-  Reader r(payload.data(), payload.size());
-  std::uint64_t n = 0, d = 0, e = 0, ticks = 0;
-  const bool ok = r.u64(&key->graph_hash) && r.str(&key->config) &&
-                  r.str(&value->label) && r.u64(&n) && r.u64(&d) &&
-                  r.u64(&e) && r.u64(&ticks) && r.u64(&value->messages) &&
-                  r.u64(&value->node_steps) && r.str(&value->map_text) &&
-                  r.done();
-  if (!ok) return false;
-  value->n = static_cast<NodeId>(n);
-  value->d = static_cast<std::uint32_t>(d);
-  value->e = static_cast<std::uint32_t>(e);
-  value->ticks = static_cast<Tick>(ticks);
-  return true;
-}
-
-// Byte offset just past the last intact record (frame complete, checksum
-// matches). Everything after it is a torn tail a crash left behind.
-std::size_t valid_prefix_end(const std::string& bytes) {
-  std::size_t pos = kHeaderSize;
-  while (pos < bytes.size()) {
-    Reader frame(bytes.data() + pos, bytes.size() - pos);
-    std::uint32_t len = 0;
-    std::uint64_t checksum = 0;
-    if (!frame.u32(&len) || !frame.u64(&checksum) || len > kMaxPayload ||
-        bytes.size() - pos - 12 < len) {
-      break;
-    }
-    if (fnv1a(bytes.substr(pos + 12, len)) != checksum) break;
-    pos += 12 + len;
-  }
-  return pos;
+  char le[8] = {};
+  bytes.copy(le, 4, sizeof(kCacheStoreMagic));
+  return static_cast<std::uint32_t>(load_u64le(le));
 }
 
 std::string header_bytes() {
   std::string h(kCacheStoreMagic, sizeof(kCacheStoreMagic));
-  put_u32(h, kCacheStoreVersion);
+  put_u64le(h, kCacheStoreVersion);
+  h.resize(kHeaderSize);  // keep the low four bytes: the u32 version
   return h;
+}
+
+// Payload: graph_hash n d e ticks messages node_steps as varints, then
+// config, label and map_text, each a varint length and its bytes.
+bool decode_record(std::string_view payload, CacheKey* key,
+                   CachedMap* value) {
+  std::size_t pos = 0;
+  std::uint64_t ints[7] = {};
+  for (std::uint64_t& v : ints) {
+    if (take_varint(payload, pos, v) != FrameStatus::kOk) return false;
+  }
+  for (std::string* str : {&key->config, &value->label, &value->map_text}) {
+    std::uint64_t len = 0;
+    if (take_varint(payload, pos, len) != FrameStatus::kOk ||
+        len > payload.size() - pos) {
+      return false;
+    }
+    str->assign(payload.substr(pos, static_cast<std::size_t>(len)));
+    pos += static_cast<std::size_t>(len);
+  }
+  key->graph_hash = ints[0];
+  value->n = static_cast<NodeId>(ints[1]);
+  value->d = static_cast<std::uint32_t>(ints[2]);
+  value->e = static_cast<std::uint32_t>(ints[3]);
+  value->ticks = static_cast<Tick>(ints[4]);
+  value->messages = ints[5];
+  value->node_steps = ints[6];
+  return pos == payload.size();
+}
+
+struct WalkEnd {
+  std::size_t pos;     // offset just past the last accepted record
+  FrameStatus status;  // kOk: the walk reached the end of the file
+};
+
+// The one record walker: hands each intact record's payload to `accept`
+// in file order and stops at the end of the file, a torn frame, or a
+// corrupt one (bad checksum, not a raw record frame, or refused by
+// `accept`).
+WalkEnd walk_records(std::string_view bytes,
+                     FunctionRef<bool(std::string_view)> accept) {
+  std::size_t pos = kHeaderSize;
+  while (pos < bytes.size()) {
+    Frame f;
+    FrameStatus s = parse_frame(bytes, pos, f);
+    if (s == FrameStatus::kOk &&
+        (f.kind != kRecordKind || f.codec != 0 ||
+         f.raw_size != f.payload.size() || !accept(f.payload))) {
+      s = FrameStatus::kCorrupt;
+    }
+    if (s != FrameStatus::kOk) return {pos, s};
+    pos = f.end;
+  }
+  return {pos, FrameStatus::kOk};
+}
+
+// The whole file, or nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
 }
 
 // Full blocking write of one buffer; the caller holds the store lock, so a
@@ -150,20 +125,18 @@ bool write_all(int fd, const std::string& data) {
 
 std::string encode_cache_record(const CacheKey& key, const CachedMap& value) {
   std::string payload;
-  put_u64(payload, key.graph_hash);
-  put_str(payload, key.config);
-  put_str(payload, value.label);
-  put_u64(payload, value.n);
-  put_u64(payload, value.d);
-  put_u64(payload, value.e);
-  put_u64(payload, static_cast<std::uint64_t>(value.ticks));
-  put_u64(payload, value.messages);
-  put_u64(payload, value.node_steps);
-  put_str(payload, value.map_text);
-
+  for (const std::uint64_t v :
+       {key.graph_hash, std::uint64_t{value.n}, std::uint64_t{value.d},
+        std::uint64_t{value.e}, static_cast<std::uint64_t>(value.ticks),
+        value.messages, value.node_steps}) {
+    put_varint(payload, v);
+  }
+  for (const std::string* str : {&key.config, &value.label, &value.map_text}) {
+    put_varint(payload, str->size());
+    payload += *str;
+  }
   std::string record;
-  put_u32(record, static_cast<std::uint32_t>(payload.size()));
-  put_u64(record, fnv1a(payload));
+  put_frame_head(record, kRecordKind, payload.size(), 0, payload);
   record += payload;
   return record;
 }
@@ -175,9 +148,8 @@ CacheStore::CacheStore(const std::string& path, std::ostream& warn)
     throw Error("cannot open cache store '" + path +
                 "': " + std::strerror(errno));
   }
-  struct stat st = {};
-  DTOP_CHECK(::fstat(fd_, &st) == 0, "cannot stat cache store '" + path + "'");
-  if (st.st_size == 0) {
+  const std::string bytes = read_file(path).value_or("");
+  if (bytes.empty()) {
     if (!write_all(fd_, header_bytes())) {
       ::close(fd_);
       fd_ = -1;
@@ -187,19 +159,7 @@ CacheStore::CacheStore(const std::string& path, std::ostream& warn)
   }
   // A non-empty file must open with our exact header, or this daemon's
   // records must not be mixed into it.
-  std::ifstream in(path, std::ios::binary);
-  std::string head(kHeaderSize, '\0');
-  in.read(head.data(), static_cast<std::streamsize>(kHeaderSize));
-  const bool compatible =
-      in.gcount() == static_cast<std::streamsize>(kHeaderSize) &&
-      std::memcmp(head.data(), kCacheStoreMagic, sizeof(kCacheStoreMagic)) ==
-          0 &&
-      [&] {
-        std::uint32_t version = 0;
-        Reader r(head.data() + sizeof(kCacheStoreMagic), 4);
-        return r.u32(&version) && version == kCacheStoreVersion;
-      }();
-  if (!compatible) {
+  if (header_version(bytes) != kCacheStoreVersion) {
     warn << "dtopd: cache store '" << path
          << "' has an unknown header (different version?) — persistence "
             "disabled for this run, file left untouched\n"
@@ -212,23 +172,18 @@ CacheStore::CacheStore(const std::string& path, std::ostream& warn)
   // Drop any torn tail a crash mid-append left behind: O_APPEND would put
   // new records *after* the torn bytes, where no load() would ever reach
   // them. Truncating to the last intact record keeps every future append
-  // loadable. (A checksum-valid prefix that fails decode is left for
+  // loadable. (A checksum-valid record that fails decode is left for
   // load() to warn about — it is corruption, not tearing.)
-  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
-  in.clear();
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (in.gcount() == static_cast<std::streamsize>(bytes.size())) {
-    const std::size_t end = valid_prefix_end(bytes);
-    if (end < bytes.size()) {
-      warn << "dtopd: cache store '" << path << "' has a torn tail at " << end
-           << " — truncating to the last intact record\n"
-           << std::flush;
-      if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
-        ::close(fd_);
-        fd_ = -1;
-        disabled_ = true;
-      }
+  const std::size_t end =
+      walk_records(bytes, [](std::string_view) { return true; }).pos;
+  if (end < bytes.size()) {
+    warn << "dtopd: cache store '" << path << "' has a torn tail at " << end
+         << " — truncating to the last intact record\n"
+         << std::flush;
+    if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      disabled_ = true;
     }
   }
 }
@@ -260,58 +215,41 @@ std::size_t CacheStore::load(
     const std::function<void(CacheKey, CachedMap)>& sink, std::ostream& warn,
     std::uint64_t* bytes_out) {
   if (bytes_out) *bytes_out = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return 0;  // no store yet: a cold start, not an error
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.empty()) return 0;
+  const std::optional<std::string> bytes = read_file(path);
+  // No store yet is a cold start, not an error.
+  if (!bytes || bytes->empty()) return 0;
 
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kCacheStoreMagic, sizeof(kCacheStoreMagic)) !=
-          0) {
+  const std::uint32_t version = header_version(*bytes);
+  if (version == 0) {
     warn << "dtopd: cache store '" << path
          << "' is not a dtop cache store — skipping it\n"
          << std::flush;
     return 0;
   }
-  {
-    std::uint32_t version = 0;
-    Reader r(bytes.data() + sizeof(kCacheStoreMagic), 4);
-    if (!r.u32(&version) || version != kCacheStoreVersion) {
-      warn << "dtopd: cache store '" << path << "' has version " << version
-           << " (this build reads " << kCacheStoreVersion
-           << ") — skipping it\n"
-           << std::flush;
-      return 0;
-    }
+  if (version != kCacheStoreVersion) {
+    warn << "dtopd: cache store '" << path << "' has version " << version
+         << " (this build reads " << kCacheStoreVersion
+         << ") — skipping it\n"
+         << std::flush;
+    return 0;
   }
 
   std::size_t count = 0;
-  std::size_t pos = kHeaderSize;
-  while (pos < bytes.size()) {
-    Reader frame(bytes.data() + pos, bytes.size() - pos);
-    std::uint32_t len = 0;
-    std::uint64_t checksum = 0;
-    if (!frame.u32(&len) || !frame.u64(&checksum) || len > kMaxPayload ||
-        bytes.size() - pos - 12 < len) {
-      warn << "dtopd: cache store '" << path << "' has a truncated record at "
-           << pos << " — keeping the " << count << " records before it\n"
-           << std::flush;
-      return count;
-    }
-    const std::string payload = bytes.substr(pos + 12, len);
+  const WalkEnd end = walk_records(*bytes, [&](std::string_view payload) {
     CacheKey key;
     CachedMap value;
-    if (fnv1a(payload) != checksum || !decode_record(payload, &key, &value)) {
-      warn << "dtopd: cache store '" << path << "' has a corrupt record at "
-           << pos << " — keeping the " << count << " records before it\n"
-           << std::flush;
-      return count;
-    }
+    if (!decode_record(payload, &key, &value)) return false;
     sink(std::move(key), std::move(value));
     ++count;
-    if (bytes_out) *bytes_out += 12 + len;
-    pos += 12 + len;
+    return true;
+  });
+  if (bytes_out) *bytes_out = end.pos - kHeaderSize;
+  if (end.status != FrameStatus::kOk) {
+    warn << "dtopd: cache store '" << path << "' has a "
+         << (end.status == FrameStatus::kTorn ? "truncated" : "corrupt")
+         << " record at " << end.pos << " — keeping the " << count
+         << " records before it\n"
+         << std::flush;
   }
   return count;
 }

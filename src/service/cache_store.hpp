@@ -6,12 +6,9 @@
 // same file, so a shard also keeps the answers it inherited.
 //
 // Durability posture: the store must survive a SIGKILL mid-append without
-// ever poisoning a restart. Each record is framed as
-//
-//   u32 payload_len | u64 fnv1a(payload) | payload
-//
-// behind an 8-byte magic + u32 version header, and append() hands the
-// kernel one complete pwrite-sized buffer per record. A torn tail (the
+// ever poisoning a restart. Behind an 8-byte magic + u32 version header,
+// each record is one checksummed frame (support/frame.hpp, stored raw), and
+// append() hands the kernel one complete write-sized buffer per record. A torn tail (the
 // process died inside the write) fails the length or checksum check, and
 // load() keeps every record before it, warns, and stops — never throws on
 // file *content*. A file with an unknown magic or version is skipped in
@@ -34,7 +31,7 @@ namespace dtop::service {
 
 inline constexpr char kCacheStoreMagic[8] = {'d', 't', 'o', 'p',
                                              'c', 's', 't', '\n'};
-inline constexpr std::uint32_t kCacheStoreVersion = 1;
+inline constexpr std::uint32_t kCacheStoreVersion = 2;
 
 // Cumulative append-side accounting, sampled by the service's metrics
 // scrape (store_append_records_total / store_append_bytes_total).

@@ -19,18 +19,10 @@
 #include "service/endpoint.hpp"
 #include "service/metrics_wire.hpp"
 #include "service/service.hpp"
+#include "support/frame.hpp"
 
 namespace dtop::service {
 namespace {
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 runner::JobStatus status_from_string(const std::string& s) {
   if (s == "exact") return runner::JobStatus::kExact;
@@ -188,7 +180,7 @@ Dispatcher::Dispatcher(const DispatcherOptions& opt) : opt_(opt) {
   for (std::size_t e = 0; e < opt_.sockets.size(); ++e) {
     for (int v = 0; v < opt_.vnodes; ++v) {
       ring_.emplace_back(
-          fnv1a(opt_.sockets[e] + "#" + std::to_string(v)), e);
+          fnv1a64(opt_.sockets[e] + "#" + std::to_string(v)), e);
     }
   }
   std::sort(ring_.begin(), ring_.end());
@@ -235,7 +227,7 @@ std::uint64_t Dispatcher::shard_key(const std::string& line) const {
   try {
     return request_key(parse_json_object(line), line);
   } catch (const std::exception&) {
-    return fnv1a(line);
+    return fnv1a64(line);
   }
 }
 
@@ -249,7 +241,7 @@ std::uint64_t Dispatcher::request_key(const JsonObject& req,
     // No network to key on (or a malformed request): hash the raw line.
     // Every shard produces the identical structured error response, so the
     // choice only has to be deterministic.
-    return fnv1a(line);
+    return fnv1a64(line);
   }
 }
 
@@ -393,7 +385,7 @@ std::string Dispatcher::call(const std::string& line) {
     if (op == "shutdown") return fan_out_shutdown(req);
     return call_keyed(request_key(req, line), line);
   } catch (const JsonError&) {
-    return call_keyed(fnv1a(line), line);
+    return call_keyed(fnv1a64(line), line);
   }
 }
 
@@ -587,7 +579,7 @@ runner::JobResult remote_run_job(Dispatcher& dispatcher,
       .field("max_ticks", static_cast<std::int64_t>(job.max_ticks));
   const std::string line = req.str();
 
-  std::uint64_t key = fnv1a(line);
+  std::uint64_t key = fnv1a64(line);
   try {
     FamilyInstance fi = make_family(job.family, job.nodes, job.seed);
     if (job.root < fi.graph.num_nodes()) {

@@ -47,10 +47,6 @@ bool codec_available(TraceCodec c);
 // kZstd when compiled in, else kDlz.
 TraceCodec default_trace_codec();
 
-// FNV-1a 64 over a byte range — the container's per-block checksum (same
-// function the cache store and the dispatcher ring use).
-std::uint64_t fnv1a64(std::string_view bytes);
-
 // Compresses `raw` with `c`. Requires codec_available(c). kRaw returns the
 // input unchanged. The result decompresses to exactly `raw`; it is NOT
 // guaranteed to be smaller (the container falls back to raw storage then).

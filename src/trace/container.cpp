@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "support/frame.hpp"
+
 namespace dtop::trace {
 namespace {
 
@@ -16,87 +18,28 @@ constexpr std::uint8_t kFrameIndex = 3;
 constexpr std::size_t kPrologueSize = 6;   // magic + version + codec
 constexpr std::size_t kTrailerSize = 12;   // u64 footer offset + "2RTD"
 constexpr char kTrailerMagic[4] = {'2', 'R', 'T', 'D'};
-// Ceiling on a single frame's decompressed size: frames are untrusted
-// bytes, and raw_size is what the reader allocates before decompressing,
-// so a 20-byte crafted frame must not be able to demand gigabytes. Far
-// above anything the writer produces (blocks are a few thousand events).
-constexpr std::uint64_t kMaxFrameRaw = std::uint64_t{256} << 20;
 
-void append_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t load_u64le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
-  }
-  return v;
-}
-
-// Buffer-side varint: same encoding and overflow rules as trace_io's
-// stream reader.
-std::uint64_t take_varint(std::string_view buf, std::size_t& pos) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos >= buf.size()) {
-      throw TraceError("trace truncated: torn frame");
-    }
-    const auto b = static_cast<std::uint8_t>(buf[pos++]);
-    if (shift == 63 && (b & 0x7E)) {
-      throw TraceError("trace corrupt: varint overflows 64 bits");
-    }
-    v |= std::uint64_t{b & 0x7Fu} << shift;
-    if (!(b & 0x80)) return v;
-  }
-  throw TraceError("trace corrupt: varint longer than 10 bytes");
-}
-
-struct Frame {
-  std::uint8_t kind = 0;
-  std::uint64_t raw_size = 0;
-  TraceCodec codec = TraceCodec::kRaw;
-  std::string_view stored;  // view into the file buffer
-  std::size_t end = 0;      // offset just past the frame
-};
-
-// Parses and checksums the frame at `pos`. Throws TraceError when the
-// frame is torn, claims an absurd size, or fails its checksum.
-Frame parse_frame(std::string_view buf, std::size_t pos) {
+// The frame at `pos`, with TraceError for anything but a whole frame of a
+// codec this format knows.
+Frame parse_trace_frame(std::string_view buf, std::size_t pos) {
   Frame f;
-  if (pos >= buf.size()) {
-    throw TraceError("trace truncated: torn frame");
+  switch (parse_frame(buf, pos, f)) {
+    case FrameStatus::kOk:
+      break;
+    case FrameStatus::kTorn:
+      throw TraceError("trace truncated: torn frame");
+    case FrameStatus::kCorrupt:
+      throw TraceError("trace corrupt: bad frame (size, varint or checksum)");
   }
-  f.kind = static_cast<std::uint8_t>(buf[pos++]);
-  f.raw_size = take_varint(buf, pos);
-  const std::uint64_t stored_size = take_varint(buf, pos);
-  if (pos >= buf.size()) {
-    throw TraceError("trace truncated: torn frame");
-  }
-  const auto codec_byte = static_cast<std::uint8_t>(buf[pos++]);
-  if (codec_byte >= kNumTraceCodecs) {
+  if (f.codec >= kNumTraceCodecs) {
     throw TraceError("trace corrupt: unknown codec id");
   }
-  f.codec = static_cast<TraceCodec>(codec_byte);
-  if (f.raw_size > kMaxFrameRaw || stored_size > kMaxFrameRaw) {
-    throw TraceError("trace corrupt: frame size out of range");
-  }
-  if (buf.size() - pos < 8) {
-    throw TraceError("trace truncated: torn frame");
-  }
-  const std::uint64_t want = load_u64le(buf.data() + pos);
-  pos += 8;
-  if (stored_size > buf.size() - pos) {
-    throw TraceError("trace truncated: torn frame");
-  }
-  f.stored = buf.substr(pos, static_cast<std::size_t>(stored_size));
-  f.end = pos + static_cast<std::size_t>(stored_size);
-  if (fnv1a64(f.stored) != want) {
-    throw TraceError("trace corrupt: frame checksum mismatch");
-  }
   return f;
+}
+
+std::string decompress(const Frame& f) {
+  return codec_decompress(static_cast<TraceCodec>(f.codec), f.payload,
+                          f.raw_size);
 }
 
 void check_stream(std::ostream& os) {
@@ -139,11 +82,8 @@ std::uint64_t Dtr2Writer::write_frame(std::uint8_t kind,
     }
   }
   std::string head;
-  head.push_back(static_cast<char>(kind));
-  put_varint(head, raw.size());
-  put_varint(head, stored->size());
-  head.push_back(static_cast<char>(stored_codec));
-  append_u64le(head, fnv1a64(*stored));
+  put_frame_head(head, kind, raw.size(),
+                 static_cast<std::uint8_t>(stored_codec), *stored);
   const std::uint64_t at = offset_;
   os_.write(head.data(), static_cast<std::streamsize>(head.size()));
   os_.write(stored->data(), static_cast<std::streamsize>(stored->size()));
@@ -197,7 +137,7 @@ void Dtr2Writer::finish() {
   }
   const std::uint64_t footer_at = write_frame(kFrameIndex, idx);
   std::string trailer;
-  append_u64le(trailer, footer_at);
+  put_u64le(trailer, footer_at);
   trailer.append(kTrailerMagic, sizeof kTrailerMagic);
   os_.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
   os_.flush();
@@ -270,12 +210,11 @@ void TraceFile::init_dtr2(std::istream& is) {
   }
   file_codec_ = static_cast<TraceCodec>(codec_byte);
 
-  const Frame hf = parse_frame(buf_, pos);
+  const Frame hf = parse_trace_frame(buf_, pos);
   if (hf.kind != kFrameHeader) {
     throw TraceError("trace corrupt: DTR2 header frame missing");
   }
-  const std::string raw = codec_decompress(hf.codec, hf.stored, hf.raw_size);
-  std::istringstream hs(raw);
+  std::istringstream hs(decompress(hf));
   header_ = read_header_tail(hs);
   if (hs.peek() != std::char_traits<char>::eof()) {
     throw TraceError("trace corrupt: trailing bytes in header frame");
@@ -293,36 +232,43 @@ bool TraceFile::try_load_index() {
   const std::uint64_t foot = load_u64le(buf_.data() + tpos);
   if (foot < kPrologueSize || foot >= tpos) return false;
   try {
-    const Frame f = parse_frame(buf_, static_cast<std::size_t>(foot));
+    const Frame f = parse_trace_frame(buf_, static_cast<std::size_t>(foot));
     if (f.kind != kFrameIndex || f.end != tpos) return false;
-    const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
+    const std::string raw = decompress(f);
     std::size_t p = 0;
-    const std::uint64_t total = take_varint(raw, p);
-    const std::uint64_t lt = take_varint(raw, p);
+    const auto take = [&raw, &p] {
+      std::uint64_t v = 0;
+      if (take_varint(raw, p, v) != FrameStatus::kOk) {
+        throw TraceError("trace corrupt: bad seek index");
+      }
+      return v;
+    };
+    const std::uint64_t total = take();
+    const std::uint64_t lt = take();
     if (lt > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max())) {
       return false;
     }
-    if (take_varint(raw, p) != kNumTraceEventKinds) return false;
+    if (take() != kNumTraceEventKinds) return false;
     std::array<std::uint64_t, kNumTraceEventKinds> counts{};
     std::uint64_t counts_sum = 0;
     for (auto& c : counts) {
-      c = take_varint(raw, p);
+      c = take();
       counts_sum += c;
     }
-    const std::uint64_t nblocks = take_varint(raw, p);
+    const std::uint64_t nblocks = take();
     if (nblocks > buf_.size()) return false;  // each block frame is >1 byte
     std::vector<Block> blocks;
     blocks.reserve(static_cast<std::size_t>(nblocks));
     std::uint64_t off = 0, first_event = 0;
     std::uint64_t ft = 0;
     for (std::uint64_t i = 0; i < nblocks; ++i) {
-      const std::uint64_t off_delta = take_varint(raw, p);
+      const std::uint64_t off_delta = take();
       if (i > 0 && off_delta == 0) return false;  // offsets must increase
       off += off_delta;
       Block b;
       b.offset = off;
-      b.events = take_varint(raw, p);
-      ft += take_varint(raw, p);
+      b.events = take();
+      ft += take();
       if (ft > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max())) {
         return false;
       }
@@ -356,7 +302,7 @@ void TraceFile::scan_frames(std::size_t events_begin) {
       // every complete frame has been read.
       break;
     }
-    const Frame f = parse_frame(buf_, pos);
+    const Frame f = parse_trace_frame(buf_, pos);
     if (f.kind == kFrameEvents) {
       Block b;
       b.offset = pos;
@@ -389,12 +335,11 @@ void TraceFile::scan_frames(std::size_t events_begin) {
 const std::vector<TraceEvent>& TraceFile::block_events(std::size_t i) {
   Block& b = blocks_[i];
   if (b.decoded) return b.cache;
-  const Frame f = parse_frame(buf_, static_cast<std::size_t>(b.offset));
+  const Frame f = parse_trace_frame(buf_, static_cast<std::size_t>(b.offset));
   if (f.kind != kFrameEvents) {
     throw TraceError("trace corrupt: index points at a non-event frame");
   }
-  const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
-  std::istringstream rs(raw);
+  std::istringstream rs(decompress(f));
   std::vector<TraceEvent> evs;
   evs.reserve(static_cast<std::size_t>(b.events));
   Tick lt = 0;
@@ -473,13 +418,6 @@ RecordedTrace TraceFile::read_all() {
     t.events.insert(t.events.end(), evs.begin(), evs.end());
   }
   return t;
-}
-
-RecordedTrace read_trace_dtr2_after_magic(std::istream& is) {
-  TraceFile f;
-  f.format_ = TraceFile::Format::kDtr2;
-  f.init_dtr2(is);
-  return f.read_all();
 }
 
 }  // namespace dtop::trace

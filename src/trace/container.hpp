@@ -9,14 +9,10 @@
 //   codec     u8 (TraceCodec the writer preferred; informational — each
 //             frame names its own stored codec)
 //
-//   frames, back to back:
-//     kind        u8: 1 = header, 2 = event block, 3 = seek index
-//     raw_size    varint, bytes after decompression
-//     stored_size varint, bytes on disk
-//     codec       u8, TraceCodec of the stored bytes (kRaw when compression
-//                 did not shrink this frame)
-//     checksum    u64 little-endian, fnv1a64 over the stored bytes
-//     payload     stored_size bytes
+//   frames, back to back, in the checksummed layout of support/frame.hpp:
+//     kind        1 = header, 2 = event block, 3 = seek index
+//     codec       TraceCodec of the stored bytes (kRaw when compression did
+//                 not shrink this frame)
 //
 //   trailer (12 bytes, fixed):
 //     footer_offset u64 little-endian, absolute file offset of the index
@@ -109,8 +105,8 @@ class Dtr2Writer {
   bool finished_ = false;
 };
 
-// Whole-trace convenience twin of write_trace: frames, compresses, and
-// indexes `trace` as DTR2. Flushes and throws Error on stream failure.
+// Whole-trace convenience wrapper: frames, compresses, and indexes `trace`
+// as DTR2. Flushes and throws Error on stream failure.
 void write_trace_dtr2(std::ostream& os, const RecordedTrace& trace,
                       Dtr2Options opts = {});
 
@@ -165,10 +161,6 @@ class TraceFile {
     std::vector<TraceEvent> cache;
   };
 
-  // For read_trace_dtr2_after_magic, which enters with the magic consumed.
-  TraceFile() = default;
-  friend RecordedTrace read_trace_dtr2_after_magic(std::istream& is);
-
   void init_dtr1(std::istream& is);
   void init_dtr2(std::istream& is);
   bool try_load_index();
@@ -186,8 +178,5 @@ class TraceFile {
   std::array<std::uint64_t, kNumTraceEventKinds> kind_counts_{};
   int blocks_decoded_ = 0;
 };
-
-// read_trace's DTR2 branch: the stream is positioned just past the magic.
-RecordedTrace read_trace_dtr2_after_magic(std::istream& is);
 
 }  // namespace dtop::trace

@@ -1,10 +1,10 @@
 #include "trace/trace_io.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
 
+#include "support/frame.hpp"
 #include "trace/container.hpp"
 
 namespace dtop::trace {
@@ -52,14 +52,6 @@ SnakeChar read_snake_char(std::istream& is) {
 }
 
 }  // namespace
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(0x80 | (v & 0x7F)));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
 
 void write_varint(std::ostream& os, std::uint64_t v) {
   std::string buf;
@@ -288,35 +280,6 @@ TraceHeader read_header_tail(std::istream& is) {
   return h;
 }
 
-namespace {
-
-// The DTR1 on-disk header: magic, then the shared tail.
-void write_header(std::ostream& os, const TraceHeader& h) {
-  os.write(kTraceMagic, sizeof kTraceMagic);
-  write_header_tail(os, h);
-}
-
-TraceHeader read_header(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic ||
-      !std::equal(magic, magic + sizeof magic, kTraceMagic)) {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\")");
-  }
-  return read_header_tail(is);
-}
-
-// A write that left the stream in a failed state means the bytes are not on
-// disk (full disk, dead pipe); reporting success anyway would hand the user
-// a silently truncated trace.
-void check_stream(std::ostream& os) {
-  if (!os.good()) {
-    throw Error("trace write failed: output stream error (disk full?)");
-  }
-}
-
-}  // namespace
-
 void write_event_record(std::ostream& os, const TraceEvent& ev,
                         Tick& last_tick) {
   DTOP_REQUIRE(ev.tick >= last_tick, "trace events must be tick-ordered");
@@ -356,20 +319,6 @@ void write_event_record(std::ostream& os, const TraceEvent& ev,
       break;
   }
 }
-
-TraceWriter::TraceWriter(std::ostream& os, const TraceHeader& header)
-    : os_(os) {
-  write_header(os_, header);
-  check_stream(os_);
-}
-
-void TraceWriter::write(const TraceEvent& ev) {
-  write_event_record(os_, ev, last_tick_);
-  check_stream(os_);
-}
-
-TraceReader::TraceReader(std::istream& is)
-    : is_(is), header_(read_header(is)) {}
 
 bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick) {
   const int first = is.get();
@@ -428,39 +377,8 @@ bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick) {
   return true;
 }
 
-bool TraceReader::next(TraceEvent& ev) {
-  return read_event_record(is_, ev, last_tick_);
-}
-
-void write_trace(std::ostream& os, const RecordedTrace& trace) {
-  TraceWriter w(os, trace.header);
-  for (const TraceEvent& ev : trace.events) w.write(ev);
-  os.flush();
-  if (!os.good()) {
-    throw Error("trace write failed: output stream error (disk full?)");
-  }
-}
-
 RecordedTrace read_trace(std::istream& is) {
-  // Sniff the container: "DTR1" is the original scan-only stream, "DTR2"
-  // the framed/compressed/indexed container (trace/container.cpp).
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic) {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
-  }
-  if (std::equal(magic, magic + sizeof magic, kTrace2Magic)) {
-    return read_trace_dtr2_after_magic(is);
-  }
-  if (!std::equal(magic, magic + sizeof magic, kTraceMagic)) {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
-  }
-  RecordedTrace trace;
-  trace.header = read_header_tail(is);
-  TraceEvent ev;
-  Tick last_tick = 0;
-  while (read_event_record(is, ev, last_tick)) trace.events.push_back(ev);
-  return trace;
+  return TraceFile(is).read_all();
 }
 
 }  // namespace dtop::trace

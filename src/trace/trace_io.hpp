@@ -1,4 +1,5 @@
-// The dtop-trace binary format (version 1) and its streaming reader/writer.
+// The dtop-trace event encoding (DTR1, version 1): the record and header
+// codecs DTR2 frames carry, and the legacy DTR1 stream they came from.
 //
 // Layout (all multi-byte integers are LEB128 varints; single bytes are raw):
 //
@@ -66,9 +67,8 @@ struct RecordedTrace {
   bool operator==(const RecordedTrace&) const = default;
 };
 
-// Varint primitives, exposed for the format tests.
-void put_varint(std::string& out, std::uint64_t v);
-// Appends the encoded bytes of `v` to `os`.
+// Stream-side varints (the buffer side is support/frame.hpp), exposed for
+// the format tests. write_varint appends the encoded bytes of `v` to `os`.
 void write_varint(std::ostream& os, std::uint64_t v);
 // Reads one varint; throws TraceError on EOF or an over-long encoding.
 std::uint64_t read_varint(std::istream& is);
@@ -92,40 +92,9 @@ bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick);
 void write_header_tail(std::ostream& os, const TraceHeader& h);
 TraceHeader read_header_tail(std::istream& is);
 
-// Streaming writer: emits the header on construction, then one event per
-// write(). Events must arrive in non-decreasing tick order.
-class TraceWriter {
- public:
-  TraceWriter(std::ostream& os, const TraceHeader& header);
-  void write(const TraceEvent& ev);
-
- private:
-  std::ostream& os_;
-  Tick last_tick_ = 0;
-};
-
-// Streaming reader: parses and validates the header on construction, then
-// yields events until EOF. next() returns false at a clean end-of-stream.
-class TraceReader {
- public:
-  explicit TraceReader(std::istream& is);
-
-  const TraceHeader& header() const { return header_; }
-  bool next(TraceEvent& ev);
-
- private:
-  std::istream& is_;
-  TraceHeader header_;
-  Tick last_tick_ = 0;
-};
-
-// Whole-trace convenience wrappers. write_trace emits DTR1 (the
-// uncompressed scan-only format; use trace/container.hpp's write_trace_dtr2
-// for the compressed indexed container); it flushes and throws Error when
-// the stream ends up in a failed state, so a full disk is loud, not a
-// silently truncated file. read_trace sniffs the magic and accepts both
-// DTR1 and DTR2 files.
-void write_trace(std::ostream& os, const RecordedTrace& trace);
+// Reads a whole trace, DTR1 or DTR2 (by magic): TraceFile(is).read_all().
+// Only DTR2 is written (trace/container.hpp: write_trace_dtr2); DTR1 is a
+// read-only legacy format.
 RecordedTrace read_trace(std::istream& is);
 
 }  // namespace dtop::trace

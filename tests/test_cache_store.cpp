@@ -45,6 +45,12 @@ CacheKey sample_key(int i) {
   return CacheKey{0x1000u + static_cast<std::uint64_t>(i), "ratio3"};
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 // Writes a fresh store with `n` sample records and returns its bytes.
 std::string build_store(const std::string& path, int n) {
   ::unlink(path.c_str());
@@ -54,9 +60,7 @@ std::string build_store(const std::string& path, int n) {
     for (int i = 0; i < n; ++i) store.append(sample_key(i), sample_value(i));
   }
   EXPECT_EQ(warn.str(), "");
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  return read_file(path);
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
@@ -212,18 +216,49 @@ TEST(CacheStore, ForeignFileIsSkippedAndNeverAppendedTo) {
 
 TEST(CacheStore, FutureVersionIsSkippedWithAWarning) {
   const std::string path = store_path("vnext");
+  const std::uint32_t next = kCacheStoreVersion + 1;
   std::string bytes(kCacheStoreMagic, sizeof(kCacheStoreMagic));
-  bytes += std::string("\x02\x00\x00\x00", 4);  // version 2, little-endian
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<char>(next >> (8 * i)));  // little-endian
+  }
   bytes += encode_cache_record(sample_key(0), sample_value(0));
   write_file(path, bytes);
 
   const Loaded l = load_all(path);
   EXPECT_EQ(l.count, 0u);
-  EXPECT_NE(l.warnings.find("has version 2"), std::string::npos);
+  EXPECT_NE(l.warnings.find("has version " + std::to_string(next)),
+            std::string::npos);
 
   std::ostringstream warn;
   CacheStore store(path, warn);
   EXPECT_TRUE(store.disabled());
+  ::unlink(path.c_str());
+}
+
+TEST(CacheStore, V1StoreIsSkippedAndLeftUntouched) {
+  // A two-record store written by the version-1 CacheStore (fixed-width
+  // records). There is no migration: a cache can always be rebuilt, so the
+  // old file is skipped and kept byte for byte until the operator deletes
+  // it.
+  const std::string original =
+      read_file(DTOP_TEST_DATA_DIR "/store-v1.dtopcst");
+  ASSERT_FALSE(original.empty());
+  const std::string path = store_path("v1");
+  write_file(path, original);
+
+  const Loaded l = load_all(path);
+  EXPECT_EQ(l.count, 0u);
+  EXPECT_NE(l.warnings.find("has version 1"), std::string::npos)
+      << l.warnings;
+
+  std::ostringstream warn;
+  {
+    CacheStore store(path, warn);
+    EXPECT_TRUE(store.disabled());
+    store.append(sample_key(0), sample_value(0));  // silent no-op
+  }
+  EXPECT_NE(warn.str().find("unknown header"), std::string::npos);
+  EXPECT_EQ(read_file(path), original);
   ::unlink(path.c_str());
 }
 

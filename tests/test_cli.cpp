@@ -13,6 +13,7 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "trace/codec.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dtop::cli {
@@ -521,7 +522,7 @@ TEST(CliMain, TraceDiffPinpointsPerturbedTick) {
   t.events[victim].payload.kill = true;
   {
     std::ofstream os(b_path, std::ios::binary);
-    trace::write_trace(os, t);
+    trace::write_trace_dtr2(os, t);
   }
 
   // Identical traces diff clean (exit 0); the perturbed pair exits 1 and
@@ -588,7 +589,7 @@ TEST(CliMain, TraceInspectSurvivesInconsistentSpanStreams) {
   const std::string path = temp_path("bad_spans.dtrace");
   {
     std::ofstream os(path, std::ios::binary);
-    trace::write_trace(os, t);
+    trace::write_trace_dtr2(os, t);
   }
   std::ostringstream out, err;
   EXPECT_EQ(cli_main({"trace", "inspect", "--trace", path}, out, err), 0);
@@ -633,8 +634,7 @@ TEST(CliMain, SweepTraceDirCapturesFailedJobs) {
 TEST(CliParse, TraceWarehouseFlagSets) {
   const TraceOptions rec = parse_trace_args(
       {"record", "--family", "torus", "--nodes", "9", "--out", "t.dtrace",
-       "--format", "dtr1", "--codec", "raw"});
-  EXPECT_EQ(rec.format, "dtr1");
+       "--codec", "raw"});
   EXPECT_EQ(rec.codec, "raw");
 
   const TraceOptions ex = parse_trace_args(
@@ -643,7 +643,7 @@ TEST(CliParse, TraceWarehouseFlagSets) {
   EXPECT_EQ(ex.action, "extract");
   EXPECT_EQ(ex.from_tick, 10);
   EXPECT_EQ(ex.to_tick, 20);
-  EXPECT_EQ(ex.format, "dtr2");  // the default container
+  EXPECT_EQ(ex.codec, "");  // the build's default codec
 
   const TraceOptions sp = parse_trace_args(
       {"splice", "--trace", "a", "--donor", "d", "--out", "b", "--from-event",
@@ -690,9 +690,10 @@ TEST(CliParse, TraceWarehouseRejections) {
                UsageError);
   EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--dir", "y"}),
                UsageError);
-  // container flags are validated at parse time
+  // DTR2 is the only container written, so --format is gone; --codec is
+  // validated at parse time
   EXPECT_THROW(parse_trace_args({"record", "--family", "torus", "--out", "t",
-                                 "--format", "dtr3"}),
+                                 "--format", "dtr1"}),
                UsageError);
   EXPECT_THROW(parse_trace_args({"record", "--family", "torus", "--out", "t",
                                  "--codec", "lzma"}),
@@ -702,23 +703,21 @@ TEST(CliParse, TraceWarehouseRejections) {
                                    "t", "--codec", "zstd"}),
                  UsageError);
   }
-  // --format/--codec are writer flags; inspect has no use for them
-  EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--format",
-                                 "dtr1"}),
+  // --codec is a writer flag; inspect has no use for it
+  EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--codec",
+                                 "raw"}),
                UsageError);
 }
 
-TEST(CliMain, TraceRecordWritesBothContainers) {
+TEST(CliMain, TraceRecordMatchesTheDtr1Fixture) {
+  // The committed DTR1 file is `trace record --family torus --nodes 4` from
+  // the retired DTR1 writer; today's DTR2 recording of the same run must
+  // decode to the same trace.
   const std::string p2 = temp_path("fmt2.dtrace");
-  const std::string p1 = temp_path("fmt1.dtrace");
+  const std::string p1 = DTOP_TEST_DATA_DIR "/torus-4.dtr1";
   std::ostringstream out, err;
-  ASSERT_EQ(cli_main({"trace", "record", "--family", "debruijn", "--nodes",
-                      "8", "--out", p2},
-                     out, err),
-            0)
-      << err.str();
-  ASSERT_EQ(cli_main({"trace", "record", "--family", "debruijn", "--nodes",
-                      "8", "--format", "dtr1", "--out", p1},
+  ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "4",
+                      "--out", p2},
                      out, err),
             0)
       << err.str();
@@ -732,7 +731,6 @@ TEST(CliMain, TraceRecordWritesBothContainers) {
             0);
   EXPECT_NE(i1.str().find("DTR1"), std::string::npos) << i1.str();
 
-  // Same run, both containers: the payload decodes identically.
   std::ostringstream dout, derr;
   EXPECT_EQ(cli_main({"trace", "diff", "--a", p1, "--b", p2}, dout, derr), 0)
       << dout.str();
@@ -834,14 +832,13 @@ TEST(CliMain, TraceCorpusAggregatesADirectory) {
   std::filesystem::remove_all(dir);  // stale files from a prior run
   std::filesystem::create_directories(dir + "/nested");
   std::ostringstream out, err;
-  ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "9",
+  ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "4",
                       "--out", dir + "/a.dtrace"},
                      out, err),
             0);
-  ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "9",
-                      "--format", "dtr1", "--out", dir + "/nested/b.dtrace"},
-                     out, err),
-            0);
+  // The same instance as DTR1: the corpus reads both containers.
+  std::filesystem::copy_file(DTOP_TEST_DATA_DIR "/torus-4.dtr1",
+                             dir + "/nested/b.dtrace");
   ASSERT_EQ(cli_main({"trace", "record", "--family", "debruijn", "--nodes",
                       "8", "--out", dir + "/c.dtrace"},
                      out, err),

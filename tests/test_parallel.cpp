@@ -86,43 +86,12 @@ TEST(ParallelEngine, ObserverRequiresSingleThread) {
   EXPECT_THROW(run_gtd(g, 0, opt), Error);
 }
 
-// The serialized dtop-trace capture — not just the model-time stats — must
-// be byte-for-byte identical at any thread count. This is the strongest
-// form of the determinism contract: every on_step/on_send/on_schedule event
-// lands in the same order with the same payload.
-std::string record_trace_bytes(const PortGraph& g, NodeId root, int threads) {
-  trace::TraceRecorder rec;
-  GtdOptions opt;
-  opt.num_threads = threads;
-  opt.trace = &rec;
-  const GtdResult r = run_gtd(g, root, opt);
-  EXPECT_EQ(r.status, RunStatus::kTerminated) << threads << " threads";
-  std::ostringstream os;
-  trace::write_trace(os, rec.take());
-  return os.str();
-}
-
-TEST(ParallelEngine, TraceBytesIdenticalAcrossThreadCounts) {
-  const std::pair<const char*, PortGraph> families[] = {
-      {"debruijn-16", de_bruijn(4)},
-      {"tree-loop", tree_loop_random(3, 7)},
-      {"degraded-grid", degraded_grid(4, 4, 0.2, 5)},
-  };
-  for (const auto& [label, g] : families) {
-    const std::string base = record_trace_bytes(g, 0, 1);
-    EXPECT_FALSE(base.empty()) << label;
-    for (const int threads : {2, 8}) {
-      EXPECT_EQ(record_trace_bytes(g, 0, threads), base)
-          << label << " at " << threads << " threads";
-    }
-  }
-}
-
-// DTR2 bytes of a full recording at `threads` engine threads; `metrics`
-// (optional) is attached to the run's engine.
+// DTR2 bytes of a full recording at `threads` engine threads; `grain` is
+// forwarded to GtdOptions::parallel_grain and `metrics` (optional) is
+// attached to the run's engine.
 std::string record_dtr2_bytes(const PortGraph& g, NodeId root, int threads,
-                              std::size_t grain,
-                              const obs::EngineMetrics* metrics) {
+                              std::size_t grain = 0,
+                              const obs::EngineMetrics* metrics = nullptr) {
   trace::TraceRecorder rec;
   GtdOptions opt;
   opt.num_threads = threads;
@@ -136,13 +105,33 @@ std::string record_dtr2_bytes(const PortGraph& g, NodeId root, int threads,
   return os.str();
 }
 
+// The serialized dtop-trace capture — not just the model-time stats — must
+// be byte-for-byte identical at any thread count. This is the strongest
+// form of the determinism contract: every on_step/on_send/on_schedule event
+// lands in the same order with the same payload.
+TEST(ParallelEngine, TraceBytesIdenticalAcrossThreadCounts) {
+  const std::pair<const char*, PortGraph> families[] = {
+      {"debruijn-16", de_bruijn(4)},
+      {"tree-loop", tree_loop_random(3, 7)},
+      {"degraded-grid", degraded_grid(4, 4, 0.2, 5)},
+  };
+  for (const auto& [label, g] : families) {
+    const std::string base = record_dtr2_bytes(g, 0, 1);
+    EXPECT_FALSE(base.empty()) << label;
+    for (const int threads : {2, 8}) {
+      EXPECT_EQ(record_dtr2_bytes(g, 0, threads), base)
+          << label << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(ParallelEngine, MixedForkedAndInlineTicksKeepDtr2BytesIdentical) {
   // Inline ticks stage wires with plain stores, forked ticks with relaxed
   // atomics. At 4 threads a grain of 2 forks the ticks with >= 4 active
   // nodes and runs the rest inline, so one run interleaves both staging
   // paths — and its DTR2 file must still equal the 1-thread recording.
   const PortGraph g = de_bruijn(4);
-  const std::string base = record_dtr2_bytes(g, 0, 1, 0, nullptr);
+  const std::string base = record_dtr2_bytes(g, 0, 1);
   ASSERT_FALSE(base.empty());
 
   obs::Registry registry;

@@ -11,6 +11,7 @@
 #include "graph/families.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
@@ -30,7 +31,7 @@ trace::RecordedTrace record_run(const PortGraph& g, int threads,
 
 std::string serialize(const trace::RecordedTrace& t) {
   std::stringstream ss;
-  trace::write_trace(ss, t);
+  trace::write_trace_dtr2(ss, t);
   return ss.str();
 }
 

@@ -1,14 +1,19 @@
 // Unit tests for src/support: fixed containers, RNG, statistics, tables,
-// the persistent thread pool, and the affinity helper.
+// the persistent thread pool, the affinity helper, and the byte-level frame
+// module (hash, varints, checksummed frames).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
+#include "graph/canonical.hpp"
+#include "graph/families.hpp"
 #include "support/affinity.hpp"
 #include "support/error.hpp"
 #include "support/fixed_vector.hpp"
+#include "support/frame.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -286,6 +291,124 @@ TEST(ThreadPool, PinnedSmoke) {
 
 TEST(Affinity, AvailableCpusPositive) {
   EXPECT_GE(available_cpus(), 1);
+}
+
+TEST(Fnv1a64, KnownAnswers) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a64, CanonicalHashesArePinned) {
+  // Cache keys, cache-store files and dispatcher routing all carry these
+  // values, so they must never move.
+  EXPECT_EQ(canonical_hash(directed_torus(3, 3), 0), 0xe0d21816c70c09ddull);
+  EXPECT_EQ(canonical_hash(de_bruijn(4), 0), 0x5b8a14561df5888bull);
+}
+
+TEST(FrameVarint, RoundTripsAndRejectsOverflow) {
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{127},
+                                std::uint64_t{128}, ~std::uint64_t{0}}) {
+    std::string buf;
+    put_varint(buf, v);
+    std::size_t pos = 0;
+    std::uint64_t back = 1;
+    ASSERT_EQ(take_varint(buf, pos, back), FrameStatus::kOk);
+    EXPECT_EQ(back, v);
+    EXPECT_EQ(pos, buf.size());
+  }
+  // 10 bytes whose payload reaches bit 65: must not wrap to 1.
+  std::string over(9, '\x81');
+  over.push_back('\x02');
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  EXPECT_EQ(take_varint(over, pos, v), FrameStatus::kCorrupt);
+  // An 11th byte is never valid either.
+  std::string longer(10, '\x80');
+  longer.push_back('\x00');
+  pos = 0;
+  EXPECT_EQ(take_varint(longer, pos, v), FrameStatus::kCorrupt);
+  pos = 0;
+  EXPECT_EQ(take_varint(std::string_view("\x80", 1), pos, v),
+            FrameStatus::kTorn);
+}
+
+TEST(FrameU64le, LittleEndianRoundTrip) {
+  std::string buf;
+  put_u64le(buf, 0x0102030405060708ull);
+  ASSERT_EQ(buf.size(), 8u);
+  EXPECT_EQ(buf[0], '\x08');
+  EXPECT_EQ(buf[7], '\x01');
+  EXPECT_EQ(load_u64le(buf.data()), 0x0102030405060708ull);
+}
+
+std::string frame_bytes(std::string_view payload) {
+  std::string buf;
+  put_frame_head(buf, 2, 1000, 7, payload);
+  buf += payload;
+  return buf;
+}
+
+TEST(Frame, RoundTripsAtAnyOffset) {
+  const std::string payload = "a checksummed payload";
+  const std::string buf = "xy" + frame_bytes(payload) + frame_bytes("");
+  Frame f;
+  ASSERT_EQ(parse_frame(buf, 2, f), FrameStatus::kOk);
+  EXPECT_EQ(f.kind, 2);
+  EXPECT_EQ(f.raw_size, 1000u);
+  EXPECT_EQ(f.codec, 7);
+  EXPECT_EQ(f.payload, payload);
+  Frame empty;
+  ASSERT_EQ(parse_frame(buf, f.end, empty), FrameStatus::kOk);
+  EXPECT_EQ(empty.payload, "");
+  EXPECT_EQ(empty.end, buf.size());
+}
+
+TEST(Frame, EveryTruncationIsTorn) {
+  const std::string buf = frame_bytes("a checksummed payload");
+  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
+    Frame f;
+    EXPECT_EQ(parse_frame(std::string_view(buf).substr(0, cut), 0, f),
+              FrameStatus::kTorn)
+        << "cut=" << cut;
+  }
+}
+
+TEST(Frame, FlippedBytesNeverYieldADifferentPayload) {
+  const std::string payload = "a checksummed payload";
+  const std::string buf = frame_bytes(payload);
+  for (std::size_t at = 0; at < buf.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = buf;
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
+      Frame f;
+      if (parse_frame(mutated, 0, f) == FrameStatus::kOk) {
+        // Only the unchecksummed header fields can change undetected.
+        EXPECT_EQ(f.payload, payload) << "at=" << at << " bit=" << bit;
+      }
+    }
+  }
+}
+
+TEST(Frame, OversizedSizesAreRejectedBeforeAllocating) {
+  // Claims checked against kMaxFrameSize, at the limit and one past it;
+  // the 4 payload bytes present make "torn" the wrong answer for a claim
+  // that no writer could have made.
+  const auto claim = [](std::uint64_t raw, std::uint64_t stored) {
+    std::string buf(1, '\x01');
+    put_varint(buf, raw);
+    put_varint(buf, stored);
+    buf.push_back('\x00');
+    put_u64le(buf, fnv1a64("abcd"));
+    buf += "abcd";
+    Frame f;
+    return parse_frame(buf, 0, f);
+  };
+  EXPECT_EQ(claim(kMaxFrameSize, 4), FrameStatus::kOk);
+  EXPECT_EQ(claim(kMaxFrameSize + 1, 4), FrameStatus::kCorrupt);
+  EXPECT_EQ(claim(4, kMaxFrameSize), FrameStatus::kTorn);
+  EXPECT_EQ(claim(4, kMaxFrameSize + 1), FrameStatus::kCorrupt);
+  EXPECT_EQ(claim(std::uint64_t{1} << 40, 4), FrameStatus::kCorrupt);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // The dtop-trace binary format: varint and character codecs, header/graph
-// round-trips (tombstones included), streaming writer/reader, corruption
-// detection, and event-level diff.
+// round-trips (tombstones included), the writer's tick-order check, DTR1
+// corruption detection, and event-level diff.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "graph/families.hpp"
+#include "support/frame.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
@@ -133,7 +137,7 @@ RecordedTrace sample_trace() {
 TEST(TraceIo, RoundTripsHeaderAndEvents) {
   const RecordedTrace t = sample_trace();
   std::stringstream ss;
-  write_trace(ss, t);
+  write_trace_dtr2(ss, t);
   const RecordedTrace back = read_trace(ss);
   EXPECT_EQ(back.header, t.header);
   EXPECT_EQ(back.events, t.events);
@@ -154,7 +158,7 @@ TEST(TraceIo, RoundTripsTombstonedGraph) {
   RecordedTrace t;
   t.header.graph = g;
   std::stringstream ss;
-  write_trace(ss, t);
+  write_trace_dtr2(ss, t);
   const RecordedTrace back = read_trace(ss);
   EXPECT_EQ(back.header.graph, g);
   EXPECT_EQ(back.header.graph.wire_slots(), g.wire_slots());
@@ -191,11 +195,15 @@ TEST(TraceIo, RejectsAbsurdSlotCount) {
 }
 
 TEST(TraceIo, TruncatedEventThrows) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
-  const std::string bytes = ss.str();
-  // Chop inside the final event (kRunEnd is kind + tick delta + status =
-  // 3 bytes here); a mid-event EOF must be loud, not a silent short read.
+  // A DTR1 file (no framing to catch the cut) ending in kRunEnd: kind +
+  // tick delta + status, 3 bytes. Chop inside it; a mid-event EOF must be
+  // loud, not a silent short read.
+  std::ifstream in(DTOP_TEST_DATA_DIR "/torus-4.dtr1", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 3u);
+  std::stringstream whole(bytes);
+  EXPECT_EQ(read_trace(whole).events.back().kind, TraceEventKind::kRunEnd);
   std::stringstream cut(bytes.substr(0, bytes.size() - 1));
   EXPECT_THROW(read_trace(cut), TraceError);
 }
@@ -205,14 +213,14 @@ TEST(TraceIo, EventStreamMayEndWithoutRunEnd) {
   RecordedTrace t = sample_trace();
   t.events.pop_back();  // drop kRunEnd
   std::stringstream ss;
-  write_trace(ss, t);
+  write_trace_dtr2(ss, t);
   const RecordedTrace back = read_trace(ss);
   EXPECT_EQ(back.events.size(), t.events.size());
 }
 
 TEST(TraceIo, WriterRejectsTickRegression) {
   std::stringstream ss;
-  TraceWriter w(ss, TraceHeader{});
+  Dtr2Writer w(ss, TraceHeader{});
   TraceEvent ev;
   ev.kind = TraceEventKind::kNodeStep;
   ev.tick = 5;
