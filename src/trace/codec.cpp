@@ -91,17 +91,27 @@ std::string dlz_compress(std::string_view raw) {
   const auto* src = reinterpret_cast<const unsigned char*>(raw.data());
   const std::size_t n = raw.size();
 
-  // One candidate position per hash slot; 0xFFFFFFFF = empty. Greedy,
-  // lz4-style: good ratios on repetitive event streams, one pass, no heap
-  // beyond this table.
-  std::vector<std::uint32_t> head(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
+  // One candidate position per hash slot, stored as `base + position`.
+  // Greedy, lz4-style: good ratios on repetitive event streams, one pass.
+  // The table is reused per thread: each call takes a base above every
+  // value stored before, so stale slots read as empty without a refill
+  // (needed only when the 32-bit bases run out).
+  thread_local std::vector<std::uint32_t> head(std::size_t{1} << kHashBits);
+  thread_local std::uint64_t next_base = 1;  // every slot below it is empty
+  if (next_base + n > 0xFFFFFFFFu) {
+    std::fill(head.begin(), head.end(), 0);
+    next_base = 1;
+  }
+  const auto base = static_cast<std::uint32_t>(next_base);
+  next_base += n;
 
   std::size_t pos = 0, literal_start = 0;
   while (n >= kMinMatch && pos + kMinMatch <= n) {
     const std::uint32_t h = hash4(src + pos);
-    const std::uint32_t cand = head[h];
-    head[h] = static_cast<std::uint32_t>(pos);
-    if (cand != 0xFFFFFFFFu && pos - cand <= kMaxDistance &&
+    const std::uint32_t slot = head[h];
+    head[h] = base + static_cast<std::uint32_t>(pos);
+    const std::size_t cand = slot - base;  // meaningful only if slot >= base
+    if (slot >= base && pos - cand <= kMaxDistance &&
         load32(src + cand) == load32(src + pos)) {
       std::size_t len = kMinMatch;
       const std::size_t max_len = n - pos;
@@ -127,7 +137,7 @@ std::string dlz_compress(std::string_view raw) {
       // interior are findable (every other position: cheap, good enough).
       for (std::size_t p2 = pos + 2;
            p2 + kMinMatch <= n && p2 < pos + consumed; p2 += 2) {
-        head[hash4(src + p2)] = static_cast<std::uint32_t>(p2);
+        head[hash4(src + p2)] = base + static_cast<std::uint32_t>(p2);
       }
       pos += consumed;
       literal_start = pos;
@@ -140,18 +150,20 @@ std::string dlz_compress(std::string_view raw) {
 }
 
 std::string dlz_decompress(std::string_view stored, std::size_t raw_size) {
-  std::string out;
-  out.reserve(raw_size);
+  std::string out(raw_size, '\0');
+  char* dst = out.data();
+  std::size_t w = 0;  // bytes produced so far
   std::size_t pos = 0;
   const std::size_t n = stored.size();
   while (pos < n) {
     const auto token = static_cast<unsigned char>(stored[pos++]);
     if (token < 0x80) {
       const std::size_t len = std::size_t{token} + 1;
-      if (pos + len > n || out.size() + len > raw_size) {
+      if (pos + len > n || w + len > raw_size) {
         throw TraceError("trace corrupt: dlz literal run out of bounds");
       }
-      out.append(stored.substr(pos, len));
+      std::memcpy(dst + w, stored.data() + pos, len);
+      w += len;
       pos += len;
     } else {
       const std::size_t len = std::size_t{token & 0x7Fu} + kMinMatch;
@@ -162,17 +174,21 @@ std::string dlz_decompress(std::string_view stored, std::size_t raw_size) {
           static_cast<unsigned char>(stored[pos]) |
           (std::size_t{static_cast<unsigned char>(stored[pos + 1])} << 8);
       pos += 2;
-      if (distance == 0 || distance > out.size() ||
-          out.size() + len > raw_size) {
+      if (distance == 0 || distance > w || w + len > raw_size) {
         throw TraceError("trace corrupt: dlz match out of bounds");
       }
-      // Byte-at-a-time: overlapping matches must replicate, not memmove.
-      for (std::size_t i = 0; i < len; ++i) {
-        out.push_back(out[out.size() - distance]);
+      if (distance >= len) {
+        std::memcpy(dst + w, dst + w - distance, len);
+        w += len;
+      } else {
+        // Overlapping matches must replicate byte-at-a-time, not memmove.
+        for (const std::size_t end = w + len; w < end; ++w) {
+          dst[w] = dst[w - distance];
+        }
       }
     }
   }
-  if (out.size() != raw_size) {
+  if (w != raw_size) {
     throw TraceError("trace corrupt: dlz block decoded to wrong size");
   }
   return out;

@@ -4,7 +4,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 #include "support/frame.hpp"
@@ -63,9 +62,9 @@ Dtr2Writer::Dtr2Writer(std::ostream& os, const TraceHeader& header,
   prologue.push_back(static_cast<char>(opts_.codec));
   os_.write(prologue.data(), static_cast<std::streamsize>(prologue.size()));
   offset_ = prologue.size();
-  std::ostringstream hs;
-  write_header_tail(hs, header);
-  write_frame(kFrameHeader, hs.str());
+  std::string hs;
+  put_header_tail(hs, header);
+  write_frame(kFrameHeader, hs);
 }
 
 std::uint64_t Dtr2Writer::write_frame(std::uint8_t kind,
@@ -99,9 +98,7 @@ void Dtr2Writer::write(const TraceEvent& ev) {
     block_first_tick_ = ev.tick;
     block_last_tick_ = 0;  // blocks are independently decodable
   }
-  std::ostringstream rec;
-  write_event_record(rec, ev, block_last_tick_);
-  block_ += rec.str();
+  put_event_record(block_, ev, block_last_tick_);
   last_tick_ = ev.tick;
   ++block_event_count_;
   ++total_events_;
@@ -155,29 +152,31 @@ void write_trace_dtr2(std::ostream& os, const RecordedTrace& trace,
 // --- reader ----------------------------------------------------------------
 
 TraceFile::TraceFile(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic) {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
+  // The whole file in one buffer (so pipes work); every decoder below reads
+  // it in place by offset.
+  for (char chunk[1 << 16]; is.read(chunk, sizeof chunk) || is.gcount();) {
+    buf_.append(chunk, static_cast<std::size_t>(is.gcount()));
   }
-  if (std::equal(magic, magic + sizeof magic, kTrace2Magic)) {
+  const std::string_view magic = std::string_view(buf_).substr(0, 4);
+  if (magic == std::string_view(kTrace2Magic, sizeof kTrace2Magic)) {
     format_ = Format::kDtr2;
-    init_dtr2(is);
-  } else if (std::equal(magic, magic + sizeof magic, kTraceMagic)) {
+    init_dtr2();
+  } else if (magic == std::string_view(kTraceMagic, sizeof kTraceMagic)) {
     format_ = Format::kDtr1;
-    init_dtr1(is);
+    init_dtr1();
   } else {
     throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
   }
 }
 
-void TraceFile::init_dtr1(std::istream& is) {
-  header_ = read_header_tail(is);
+void TraceFile::init_dtr1() {
+  std::size_t pos = sizeof kTraceMagic;
+  header_ = take_header_tail(buf_, pos);
   Block b;
   b.decoded = true;
   Tick lt = 0;
   TraceEvent ev;
-  while (read_event_record(is, ev, lt)) {
+  while (take_event_record(buf_, pos, ev, lt)) {
     ++kind_counts_[static_cast<std::size_t>(ev.kind)];
     b.cache.push_back(ev);
   }
@@ -188,13 +187,10 @@ void TraceFile::init_dtr1(std::istream& is) {
   }
   total_events_ = b.events;
   blocks_.push_back(std::move(b));
+  buf_ = std::string();  // decoded eagerly; the bytes are not read again
 }
 
-void TraceFile::init_dtr2(std::istream& is) {
-  buf_.assign(kTrace2Magic, sizeof kTrace2Magic);
-  std::ostringstream rest;
-  rest << is.rdbuf();
-  buf_ += rest.str();
+void TraceFile::init_dtr2() {
   if (buf_.size() < kPrologueSize) {
     throw TraceError("trace truncated: torn DTR2 prologue");
   }
@@ -214,9 +210,10 @@ void TraceFile::init_dtr2(std::istream& is) {
   if (hf.kind != kFrameHeader) {
     throw TraceError("trace corrupt: DTR2 header frame missing");
   }
-  std::istringstream hs(decompress(hf));
-  header_ = read_header_tail(hs);
-  if (hs.peek() != std::char_traits<char>::eof()) {
+  const std::string raw = decompress(hf);
+  std::size_t hpos = 0;
+  header_ = take_header_tail(raw, hpos);
+  if (hpos != raw.size()) {
     throw TraceError("trace corrupt: trailing bytes in header frame");
   }
   if (!try_load_index()) scan_frames(hf.end);
@@ -334,29 +331,35 @@ void TraceFile::scan_frames(std::size_t events_begin) {
 
 const std::vector<TraceEvent>& TraceFile::block_events(std::size_t i) {
   Block& b = blocks_[i];
-  if (b.decoded) return b.cache;
+  if (!b.decoded) {
+    decode_block(i, b.cache);
+    b.decoded = true;
+  }
+  return b.cache;
+}
+
+void TraceFile::decode_block(std::size_t i, std::vector<TraceEvent>& out) {
+  const Block& b = blocks_[i];
   const Frame f = parse_trace_frame(buf_, static_cast<std::size_t>(b.offset));
   if (f.kind != kFrameEvents) {
     throw TraceError("trace corrupt: index points at a non-event frame");
   }
-  std::istringstream rs(decompress(f));
-  std::vector<TraceEvent> evs;
-  evs.reserve(static_cast<std::size_t>(b.events));
+  const std::string raw = decompress(f);
+  const std::size_t first = out.size();
+  out.reserve(first + static_cast<std::size_t>(b.events));
+  std::size_t pos = 0;
   Tick lt = 0;
   TraceEvent ev;
-  while (read_event_record(rs, ev, lt)) evs.push_back(ev);
+  while (take_event_record(raw, pos, ev, lt)) out.push_back(ev);
   if (indexed_) {
     // The index is what seeks and stats trust; a block that disagrees with
     // it would silently skew both.
-    if (evs.size() != b.events ||
-        (!evs.empty() && evs.front().tick != b.first_tick)) {
+    if (out.size() - first != b.events ||
+        (out.size() > first && out[first].tick != b.first_tick)) {
       throw TraceError("trace corrupt: block disagrees with seek index");
     }
   }
-  b.cache = std::move(evs);
-  b.decoded = true;
   ++blocks_decoded_;
-  return b.cache;
 }
 
 std::vector<TraceEvent> TraceFile::events_in_range(std::uint64_t begin,
@@ -406,16 +409,22 @@ RecordedTrace TraceFile::read_all() {
   t.events.reserve(static_cast<std::size_t>(total_events_));
   Tick prev = 0;
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    const std::vector<TraceEvent>& evs = block_events(i);
-    if (!evs.empty()) {
+    const std::size_t first = t.events.size();
+    if (blocks_[i].decoded) {
+      // Cached by an earlier seek (or the scan): copy, and keep it cached.
+      const std::vector<TraceEvent>& c = blocks_[i].cache;
+      t.events.insert(t.events.end(), c.begin(), c.end());
+    } else {
+      decode_block(i, t.events);  // straight into the result, uncached
+    }
+    if (t.events.size() > first) {
       // Within a block the delta coding forces tick order; across blocks a
       // crafted file could rewind time, which DTR1 cannot express.
-      if (evs.front().tick < prev) {
+      if (t.events[first].tick < prev) {
         throw TraceError("trace corrupt: blocks out of tick order");
       }
-      prev = evs.back().tick;
+      prev = t.events.back().tick;
     }
-    t.events.insert(t.events.end(), evs.begin(), evs.end());
   }
   return t;
 }

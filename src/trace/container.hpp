@@ -20,7 +20,7 @@
 //     magic         "2RTD" (4 bytes)
 //
 // The header frame is always first and its raw payload is exactly DTR1's
-// header tail (trace_io.hpp: write_header_tail). An event block's raw
+// header tail (trace_io.hpp: put_header_tail). An event block's raw
 // payload is a run of DTR1 event records with the tick-delta baseline reset
 // to 0, so every block is independently decodable. The index frame's raw
 // payload:
@@ -137,7 +137,7 @@ class TraceFile {
     return kind_counts_;
   }
   std::size_t num_blocks() const { return blocks_.size(); }
-  // Event blocks decompressed so far — the "seek reads stay lazy" test
+  // Event-block decompressions so far — the "seek reads stay lazy" test
   // hook. DTR1 decodes have no blocks and never increment it.
   int blocks_decoded() const { return blocks_decoded_; }
 
@@ -161,11 +161,13 @@ class TraceFile {
     std::vector<TraceEvent> cache;
   };
 
-  void init_dtr1(std::istream& is);
-  void init_dtr2(std::istream& is);
+  void init_dtr1();
+  void init_dtr2();
   bool try_load_index();
   void scan_frames(std::size_t events_begin);
-  const std::vector<TraceEvent>& block_events(std::size_t i);
+  const std::vector<TraceEvent>& block_events(std::size_t i);  // cached
+  // Decompresses block i and appends its events to `out`, uncached.
+  void decode_block(std::size_t i, std::vector<TraceEvent>& out);
 
   Format format_ = Format::kDtr1;
   TraceHeader header_;

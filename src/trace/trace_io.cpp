@@ -1,8 +1,6 @@
 #include "trace/trace_io.hpp"
 
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "support/frame.hpp"
 #include "trace/container.hpp"
@@ -21,61 +19,126 @@ enum : std::uint32_t {
   kBitDfs = 1u << 10,
 };
 
-void put_u8(std::ostream& os, std::uint8_t b) {
-  os.put(static_cast<char>(b));
+// The fields each kind carries after its tick delta and `a`, always in the
+// order b, c, payload (trace_event.hpp gives their meaning).
+enum : std::uint8_t { kFieldB = 1, kFieldC = 2, kFieldPayload = 4 };
+constexpr std::uint8_t kKindFields[kNumTraceEventKinds] = {
+    0,                        // kSchedule
+    0,                        // kNodeStep
+    kFieldPayload,            // kWireSend
+    kFieldB | kFieldPayload,  // kInject
+    kFieldB | kFieldC,        // kRootEvent
+    kFieldB,                  // kRcaStart
+    kFieldB,                  // kRcaPhase
+    0,                        // kRcaComplete
+    0,                        // kBcaStart
+    0,                        // kBcaComplete
+    kFieldB,                  // kGrowErased
+    0,                        // kRunEnd
+};
+
+void put_u8(std::string& out, std::uint8_t b) {
+  out.push_back(static_cast<char>(b));
 }
 
-std::uint8_t get_u8(std::istream& is) {
-  const int c = is.get();
-  if (c == std::char_traits<char>::eof()) {
+// Bounds-checked reads over untrusted bytes: a short buffer or a malformed
+// varint throws, so no decoder below ever sees a partial value.
+class Cursor {
+ public:
+  Cursor(std::string_view buf, std::size_t& pos) : buf_(buf), pos_(pos) {}
+
+  std::uint8_t u8() {
+    if (pos_ >= buf_.size()) truncated();
+    return static_cast<std::uint8_t>(buf_[pos_++]);
+  }
+
+  std::uint64_t varint() {
+    // Almost every varint in a trace is one byte.
+    if (pos_ < buf_.size() && !(buf_[pos_] & 0x80)) {
+      return static_cast<std::uint8_t>(buf_[pos_++]);
+    }
+    std::uint64_t v = 0;
+    const FrameStatus s = take_varint(buf_, pos_, v);
+    if (s == FrameStatus::kTorn) truncated();
+    if (s == FrameStatus::kCorrupt) {
+      throw TraceError("trace corrupt: varint overflows 64 bits");
+    }
+    return v;
+  }
+
+ private:
+  [[noreturn]] static void truncated() {
     throw TraceError("trace truncated: unexpected end of stream");
   }
-  return static_cast<std::uint8_t>(c);
+
+  std::string_view buf_;
+  std::size_t& pos_;
+};
+
+void put_snake_char(std::string& out, const SnakeChar& c) {
+  put_u8(out, static_cast<std::uint8_t>(c.part));
+  put_u8(out, c.out);
+  put_u8(out, c.in);
 }
 
-void write_snake_char(std::ostream& os, const SnakeChar& c) {
-  put_u8(os, static_cast<std::uint8_t>(c.part));
-  put_u8(os, c.out);
-  put_u8(os, c.in);
-}
-
-SnakeChar read_snake_char(std::istream& is) {
+SnakeChar take_snake_char(Cursor& in) {
   SnakeChar c;
-  const std::uint8_t part = get_u8(is);
+  const std::uint8_t part = in.u8();
   if (part > static_cast<std::uint8_t>(SnakePart::kTail)) {
     throw TraceError("trace corrupt: bad snake part " + std::to_string(part));
   }
   c.part = static_cast<SnakePart>(part);
-  c.out = get_u8(is);
-  c.in = get_u8(is);
+  c.out = in.u8();
+  c.in = in.u8();
   return c;
 }
 
 }  // namespace
 
-void write_varint(std::ostream& os, std::uint64_t v) {
-  std::string buf;
-  put_varint(buf, v);
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-std::uint64_t read_varint(std::istream& is) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    const std::uint8_t b = get_u8(is);
-    // At shift 63 only bit 0 of the final byte still fits in the result;
-    // shifting a wider payload would silently drop its bits 1..6 and decode
-    // a crafted 10-byte varint to the wrong value instead of failing.
-    if (shift == 63 && (b & 0x7E)) {
-      throw TraceError("trace corrupt: varint overflows 64 bits");
-    }
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if (!(b & 0x80)) return v;
+Character take_character(std::string_view buf, std::size_t& pos) {
+  Cursor in(buf, pos);
+  Character c;
+  const std::uint64_t bits = in.varint();
+  if (bits >> 11) {
+    throw TraceError("trace corrupt: unknown character lane bits");
   }
-  throw TraceError("trace corrupt: varint longer than 10 bytes");
+  for (int i = 0; i < kNumSnakeKinds; ++i)
+    if (bits & (kBitGrow0 << i)) c.grow[i] = take_snake_char(in);
+  for (int i = 0; i < kNumSnakeKinds; ++i)
+    if (bits & (kBitDie0 << i)) c.die[i] = take_snake_char(in);
+  c.kill = (bits & kBitKill) != 0;
+  c.bkill = (bits & kBitBkill) != 0;
+  if (bits & kBitRloop) {
+    RcaToken t;
+    const std::uint8_t kind = in.u8();
+    if (kind > static_cast<std::uint8_t>(RcaToken::Kind::kUnmark)) {
+      throw TraceError("trace corrupt: bad rloop kind");
+    }
+    t.kind = static_cast<RcaToken::Kind>(kind);
+    t.out = in.u8();
+    t.in = in.u8();
+    c.rloop = t;
+  }
+  if (bits & kBitBloop) {
+    BcaToken t;
+    const std::uint8_t kind = in.u8();
+    if (kind > static_cast<std::uint8_t>(BcaToken::Kind::kBUnmark)) {
+      throw TraceError("trace corrupt: bad bloop kind");
+    }
+    t.kind = static_cast<BcaToken::Kind>(kind);
+    t.payload = in.u8();
+    c.bloop = t;
+  }
+  if (bits & kBitDfs) {
+    DfsToken t;
+    t.last_out = in.u8();
+    t.last_in = in.u8();
+    c.dfs = t;
+  }
+  return c;
 }
 
-void write_character(std::ostream& os, const Character& c) {
+void put_character(std::string& out, const Character& c) {
   std::uint32_t bits = 0;
   for (int i = 0; i < kNumSnakeKinds; ++i) {
     if (c.grow[i]) bits |= kBitGrow0 << i;
@@ -86,102 +149,61 @@ void write_character(std::ostream& os, const Character& c) {
   if (c.rloop) bits |= kBitRloop;
   if (c.bloop) bits |= kBitBloop;
   if (c.dfs) bits |= kBitDfs;
-  write_varint(os, bits);
+  put_varint(out, bits);
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.grow[i]) write_snake_char(os, *c.grow[i]);
+    if (c.grow[i]) put_snake_char(out, *c.grow[i]);
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.die[i]) write_snake_char(os, *c.die[i]);
+    if (c.die[i]) put_snake_char(out, *c.die[i]);
   if (c.rloop) {
-    put_u8(os, static_cast<std::uint8_t>(c.rloop->kind));
-    put_u8(os, c.rloop->out);
-    put_u8(os, c.rloop->in);
+    put_u8(out, static_cast<std::uint8_t>(c.rloop->kind));
+    put_u8(out, c.rloop->out);
+    put_u8(out, c.rloop->in);
   }
   if (c.bloop) {
-    put_u8(os, static_cast<std::uint8_t>(c.bloop->kind));
-    put_u8(os, c.bloop->payload);
+    put_u8(out, static_cast<std::uint8_t>(c.bloop->kind));
+    put_u8(out, c.bloop->payload);
   }
   if (c.dfs) {
-    put_u8(os, c.dfs->last_out);
-    put_u8(os, c.dfs->last_in);
+    put_u8(out, c.dfs->last_out);
+    put_u8(out, c.dfs->last_in);
   }
 }
 
-Character read_character(std::istream& is) {
-  Character c;
-  const std::uint64_t bits = read_varint(is);
-  if (bits >> 11) {
-    throw TraceError("trace corrupt: unknown character lane bits");
-  }
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kBitGrow0 << i)) c.grow[i] = read_snake_char(is);
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kBitDie0 << i)) c.die[i] = read_snake_char(is);
-  c.kill = (bits & kBitKill) != 0;
-  c.bkill = (bits & kBitBkill) != 0;
-  if (bits & kBitRloop) {
-    RcaToken t;
-    const std::uint8_t kind = get_u8(is);
-    if (kind > static_cast<std::uint8_t>(RcaToken::Kind::kUnmark)) {
-      throw TraceError("trace corrupt: bad rloop kind");
-    }
-    t.kind = static_cast<RcaToken::Kind>(kind);
-    t.out = get_u8(is);
-    t.in = get_u8(is);
-    c.rloop = t;
-  }
-  if (bits & kBitBloop) {
-    BcaToken t;
-    const std::uint8_t kind = get_u8(is);
-    if (kind > static_cast<std::uint8_t>(BcaToken::Kind::kBUnmark)) {
-      throw TraceError("trace corrupt: bad bloop kind");
-    }
-    t.kind = static_cast<BcaToken::Kind>(kind);
-    t.payload = get_u8(is);
-    c.bloop = t;
-  }
-  if (bits & kBitDfs) {
-    DfsToken t;
-    t.last_out = get_u8(is);
-    t.last_in = get_u8(is);
-    c.dfs = t;
-  }
-  return c;
-}
-
-void write_header_tail(std::ostream& os, const TraceHeader& h) {
-  put_u8(os, h.version);
-  write_varint(os, h.root);
-  put_u8(os, h.graph.delta());
-  write_varint(os, h.graph.num_nodes());
+void put_header_tail(std::string& out, const TraceHeader& h) {
+  put_u8(out, h.version);
+  put_varint(out, h.root);
+  put_u8(out, h.graph.delta());
+  put_varint(out, h.graph.num_nodes());
   const WireId slots = h.graph.wire_slots();
-  write_varint(os, slots);
+  put_varint(out, slots);
   // Tombstoned slots must round-trip so recorded wire ids stay valid.
   std::vector<std::uint8_t> is_live(slots, 0);
   for (WireId lw : h.graph.wire_ids()) is_live[lw] = 1;
   for (WireId w = 0; w < slots; ++w) {
     const bool live = is_live[w] != 0;
-    put_u8(os, live ? 1 : 0);
+    put_u8(out, live ? 1 : 0);
     if (live) {
       const Wire& wr = h.graph.wire(w);
-      write_varint(os, wr.from);
-      put_u8(os, wr.out_port);
-      write_varint(os, wr.to);
-      put_u8(os, wr.in_port);
+      put_varint(out, wr.from);
+      put_u8(out, wr.out_port);
+      put_varint(out, wr.to);
+      put_u8(out, wr.in_port);
     }
   }
-  write_varint(os, static_cast<std::uint64_t>(h.config.snake_delay));
-  write_varint(os, static_cast<std::uint64_t>(h.config.loop_delay));
-  write_varint(os, static_cast<std::uint64_t>(h.config.token_delay));
+  put_varint(out, static_cast<std::uint64_t>(h.config.snake_delay));
+  put_varint(out, static_cast<std::uint64_t>(h.config.loop_delay));
+  put_varint(out, static_cast<std::uint64_t>(h.config.token_delay));
 }
 
-TraceHeader read_header_tail(std::istream& is) {
+TraceHeader take_header_tail(std::string_view buf, std::size_t& pos) {
+  Cursor in(buf, pos);
   TraceHeader h;
-  h.version = get_u8(is);
+  h.version = in.u8();
   if (h.version != kTraceVersion) {
     throw TraceError("unsupported trace version " + std::to_string(h.version));
   }
-  const std::uint64_t root = read_varint(is);
-  const std::uint8_t delta = get_u8(is);
+  const std::uint64_t root = in.varint();
+  const std::uint8_t delta = in.u8();
   if (delta < 1 || delta > kMaxDegree) {
     throw TraceError("trace corrupt: delta out of range");
   }
@@ -191,7 +213,7 @@ TraceHeader read_header_tail(std::istream& is) {
   // of port tables — far beyond any workload in this repo, small enough to
   // be harmless.
   constexpr std::uint64_t kMaxTraceNodes = 1u << 22;
-  const std::uint64_t nodes = read_varint(is);
+  const std::uint64_t nodes = in.varint();
   if (nodes < 1 || nodes > kMaxTraceNodes) {
     throw TraceError("trace corrupt: node count out of range");
   }
@@ -203,7 +225,7 @@ TraceHeader read_header_tail(std::istream& is) {
   // slot count past the live-wire maximum of nodes * delta, but not by much
   // in any trace this repo writes (degraded_grid disconnects each wire at
   // most once).
-  const std::uint64_t slots = read_varint(is);
+  const std::uint64_t slots = in.varint();
   if (slots > 4 * nodes * static_cast<std::uint64_t>(delta) + 64) {
     throw TraceError("trace corrupt: wire slot count out of range");
   }
@@ -214,13 +236,13 @@ TraceHeader read_header_tail(std::istream& is) {
   NodeId ts_from = kNoNode, ts_to = kNoNode;
   Port ts_out = 0, ts_in = 0;
   for (std::uint64_t s = 0; s < slots; ++s) {
-    const std::uint8_t live = get_u8(is);
+    const std::uint8_t live = in.u8();
     if (live > 1) throw TraceError("trace corrupt: bad wire slot tag");
     if (live) {
-      const std::uint64_t from = read_varint(is);
-      const std::uint8_t out_port = get_u8(is);
-      const std::uint64_t to = read_varint(is);
-      const std::uint8_t in_port = get_u8(is);
+      const std::uint64_t from = in.varint();
+      const std::uint8_t out_port = in.u8();
+      const std::uint64_t to = in.varint();
+      const std::uint8_t in_port = in.u8();
       if (from >= nodes || to >= nodes || out_port >= delta ||
           in_port >= delta) {
         throw TraceError("trace corrupt: wire endpoint out of range");
@@ -269,111 +291,57 @@ TraceHeader read_header_tail(std::istream& is) {
     }
   }
 
-  const auto read_delay = [&is]() {
-    const std::uint64_t v = read_varint(is);
+  const auto take_delay = [&in]() {
+    const std::uint64_t v = in.varint();
     if (v > 255) throw TraceError("trace corrupt: delay out of range");
     return static_cast<int>(v);
   };
-  h.config.snake_delay = read_delay();
-  h.config.loop_delay = read_delay();
-  h.config.token_delay = read_delay();
+  h.config.snake_delay = take_delay();
+  h.config.loop_delay = take_delay();
+  h.config.token_delay = take_delay();
   return h;
 }
 
-void write_event_record(std::ostream& os, const TraceEvent& ev,
-                        Tick& last_tick) {
+void put_event_record(std::string& out, const TraceEvent& ev,
+                      Tick& last_tick) {
   DTOP_REQUIRE(ev.tick >= last_tick, "trace events must be tick-ordered");
-  put_u8(os, static_cast<std::uint8_t>(ev.kind));
-  write_varint(os, static_cast<std::uint64_t>(ev.tick - last_tick));
+  put_u8(out, static_cast<std::uint8_t>(ev.kind));
+  put_varint(out, static_cast<std::uint64_t>(ev.tick - last_tick));
   last_tick = ev.tick;
-  switch (ev.kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kNodeStep:
-    case TraceEventKind::kRcaComplete:
-    case TraceEventKind::kBcaStart:
-    case TraceEventKind::kBcaComplete:
-      write_varint(os, ev.a);
-      break;
-    case TraceEventKind::kWireSend:
-      write_varint(os, ev.a);
-      write_character(os, ev.payload);
-      break;
-    case TraceEventKind::kInject:
-      write_varint(os, ev.a);
-      put_u8(os, ev.b);
-      write_character(os, ev.payload);
-      break;
-    case TraceEventKind::kRootEvent:
-      write_varint(os, ev.a);
-      put_u8(os, ev.b);
-      put_u8(os, ev.c);
-      break;
-    case TraceEventKind::kRcaStart:
-    case TraceEventKind::kRcaPhase:
-    case TraceEventKind::kGrowErased:
-      write_varint(os, ev.a);
-      put_u8(os, ev.b);
-      break;
-    case TraceEventKind::kRunEnd:
-      write_varint(os, ev.a);
-      break;
-  }
+  put_varint(out, ev.a);
+  const std::uint8_t fields = kKindFields[static_cast<std::size_t>(ev.kind)];
+  if (fields & kFieldB) put_u8(out, ev.b);
+  if (fields & kFieldC) put_u8(out, ev.c);
+  if (fields & kFieldPayload) put_character(out, ev.payload);
 }
 
-bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick) {
-  const int first = is.get();
-  if (first == std::char_traits<char>::eof()) return false;  // clean EOF
+bool take_event_record(std::string_view buf, std::size_t& pos,
+                       TraceEvent& ev, Tick& last_tick) {
+  if (pos >= buf.size()) return false;  // clean EOF at a record boundary
+  Cursor in(buf, pos);
+  const std::uint8_t first = in.u8();
   if (first >= kNumTraceEventKinds) {
     throw TraceError("trace corrupt: unknown event kind " +
                      std::to_string(first));
   }
   ev = TraceEvent{};
   ev.kind = static_cast<TraceEventKind>(first);
-  const std::uint64_t delta = read_varint(is);
+  const std::uint64_t delta = in.varint();
   if (delta > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max() -
                                          last_tick)) {
     throw TraceError("trace corrupt: tick overflow");
   }
   last_tick += static_cast<Tick>(delta);
   ev.tick = last_tick;
-
-  const auto read_a = [&is] {
-    const std::uint64_t v = read_varint(is);
-    if (v > std::numeric_limits<std::uint32_t>::max()) {
-      throw TraceError("trace corrupt: field out of range");
-    }
-    return static_cast<std::uint32_t>(v);
-  };
-  switch (ev.kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kNodeStep:
-    case TraceEventKind::kRcaComplete:
-    case TraceEventKind::kBcaStart:
-    case TraceEventKind::kBcaComplete:
-    case TraceEventKind::kRunEnd:
-      ev.a = read_a();
-      break;
-    case TraceEventKind::kWireSend:
-      ev.a = read_a();
-      ev.payload = read_character(is);
-      break;
-    case TraceEventKind::kInject:
-      ev.a = read_a();
-      ev.b = get_u8(is);
-      ev.payload = read_character(is);
-      break;
-    case TraceEventKind::kRootEvent:
-      ev.a = read_a();
-      ev.b = get_u8(is);
-      ev.c = get_u8(is);
-      break;
-    case TraceEventKind::kRcaStart:
-    case TraceEventKind::kRcaPhase:
-    case TraceEventKind::kGrowErased:
-      ev.a = read_a();
-      ev.b = get_u8(is);
-      break;
+  const std::uint64_t a = in.varint();
+  if (a > std::numeric_limits<std::uint32_t>::max()) {
+    throw TraceError("trace corrupt: field out of range");
   }
+  ev.a = static_cast<std::uint32_t>(a);
+  const std::uint8_t fields = kKindFields[first];
+  if (fields & kFieldB) ev.b = in.u8();
+  if (fields & kFieldC) ev.c = in.u8();
+  if (fields & kFieldPayload) ev.payload = take_character(buf, pos);
   return true;
 }
 

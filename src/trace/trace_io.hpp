@@ -31,6 +31,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/port_graph.hpp"
@@ -67,30 +69,31 @@ struct RecordedTrace {
   bool operator==(const RecordedTrace&) const = default;
 };
 
-// Stream-side varints (the buffer side is support/frame.hpp), exposed for
-// the format tests. write_varint appends the encoded bytes of `v` to `os`.
-void write_varint(std::ostream& os, std::uint64_t v);
-// Reads one varint; throws TraceError on EOF or an over-long encoding.
-std::uint64_t read_varint(std::istream& is);
+// Buffer-side codecs. The put_* functions append encoded bytes to `out`;
+// the take_* functions decode the item at buf[pos], advance `pos` past it,
+// and throw TraceError on a buffer that ends inside the item or on bytes no
+// writer produces. Varints are support/frame.hpp's put_varint/take_varint.
 
 // Character codec, exposed for the format tests.
-void write_character(std::ostream& os, const Character& c);
-Character read_character(std::istream& is);
+void put_character(std::string& out, const Character& c);
+Character take_character(std::string_view buf, std::size_t& pos);
 
 // Single-event record codec, exposed for the DTR2 container
 // (trace/container.hpp): an event record is byte-identical in a DTR1 stream
 // and inside a DTR2 block. `last_tick` is the tick-delta baseline and is
 // advanced to ev.tick; a DTR2 block resets it to 0, which is what makes a
-// block independently decodable. read_event_record returns false on a clean
-// EOF at a record boundary and throws TraceError on truncation inside one.
-void write_event_record(std::ostream& os, const TraceEvent& ev,
-                        Tick& last_tick);
-bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick);
+// block independently decodable. take_event_record returns false when `pos`
+// is at the end of `buf` (a record boundary) and throws TraceError on
+// truncation inside a record.
+void put_event_record(std::string& out, const TraceEvent& ev,
+                      Tick& last_tick);
+bool take_event_record(std::string_view buf, std::size_t& pos,
+                       TraceEvent& ev, Tick& last_tick);
 
 // Header serialization minus the 4-byte magic (version byte + fields),
 // shared verbatim by DTR1 and the DTR2 header block.
-void write_header_tail(std::ostream& os, const TraceHeader& h);
-TraceHeader read_header_tail(std::istream& is);
+void put_header_tail(std::string& out, const TraceHeader& h);
+TraceHeader take_header_tail(std::string_view buf, std::size_t& pos);
 
 // Reads a whole trace, DTR1 or DTR2 (by magic): TraceFile(is).read_all().
 // Only DTR2 is written (trace/container.hpp: write_trace_dtr2); DTR1 is a

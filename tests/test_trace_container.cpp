@@ -70,12 +70,11 @@ std::string dtr2_bytes(const RecordedTrace& t, Dtr2Options opts = {}) {
 // The legacy DTR1 stream of `t`, built from the record codecs DTR2 shares:
 // magic, header tail, then every event delta-coded from tick 0.
 std::string dtr1_bytes(const RecordedTrace& t) {
-  std::stringstream ss;
-  ss.write(kTraceMagic, sizeof kTraceMagic);
-  write_header_tail(ss, t.header);
+  std::string out(kTraceMagic, sizeof kTraceMagic);
+  put_header_tail(out, t.header);
   Tick last_tick = 0;
-  for (const TraceEvent& ev : t.events) write_event_record(ss, ev, last_tick);
-  return ss.str();
+  for (const TraceEvent& ev : t.events) put_event_record(out, ev, last_tick);
+  return out;
 }
 
 // --- codecs ---------------------------------------------------------------
@@ -101,6 +100,23 @@ TEST(TraceCodecs, DlzRoundTripsRepresentativeBuffers) {
   EXPECT_LT(stored.size(), overlap.size());
   EXPECT_EQ(codec_decompress(TraceCodec::kDlz, stored, overlap.size()),
             overlap);
+}
+
+TEST(TraceCodecs, DlzOutputDoesNotDependOnEarlierCalls) {
+  // The encoder reuses its match table across calls; what an earlier call
+  // left in it must never become a match candidate. Pseudo-random bytes
+  // give the stale entries of a previous identical call every chance to.
+  std::string noise;
+  std::uint32_t s = 12345;
+  for (int i = 0; i < 3000; ++i) {
+    s = s * 1103515245u + 12345u;
+    noise.push_back(static_cast<char>(s >> 24));
+  }
+  const std::string first = codec_compress(TraceCodec::kDlz, noise);
+  (void)codec_compress(TraceCodec::kDlz, std::string(5000, 'x'));
+  EXPECT_EQ(codec_compress(TraceCodec::kDlz, noise), first);
+  EXPECT_EQ(codec_compress(TraceCodec::kDlz, noise), first);
+  EXPECT_EQ(codec_decompress(TraceCodec::kDlz, first, noise.size()), noise);
 }
 
 TEST(TraceCodecs, DlzRejectsMalformedStreams) {
@@ -144,17 +160,22 @@ TEST(TraceVarintOverflow, TenBytePayloadAboveU64MaxThrows) {
   std::string bytes;
   for (int i = 0; i < 9; ++i) bytes.push_back(static_cast<char>(0x81));
   bytes.push_back(static_cast<char>(0x02));  // bit 65
-  {
-    std::stringstream ss(bytes);
-    ss.seekg(0);
-    EXPECT_THROW(read_varint(ss), TraceError);
-  }
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  EXPECT_EQ(take_varint(bytes, pos, v), FrameStatus::kCorrupt);
+  // As a record's tick delta it is a TraceError.
+  const std::string rec = std::string(1, '\x01') + bytes;
+  pos = 0;
+  TraceEvent ev;
+  Tick last_tick = 0;
+  EXPECT_THROW(take_event_record(rec, pos, ev, last_tick), TraceError);
   // The all-ones maximum still decodes.
   std::string max_bytes;
   for (int i = 0; i < 9; ++i) max_bytes.push_back(static_cast<char>(0xFF));
   max_bytes.push_back(static_cast<char>(0x01));
-  std::stringstream ss(max_bytes);
-  EXPECT_EQ(read_varint(ss), ~std::uint64_t{0});
+  pos = 0;
+  EXPECT_EQ(take_varint(max_bytes, pos, v), FrameStatus::kOk);
+  EXPECT_EQ(v, ~std::uint64_t{0});
 }
 
 // --- satellite: writer stream checks -------------------------------------

@@ -1,8 +1,10 @@
-// The dtop-trace binary format: varint and character codecs, header/graph
-// round-trips (tombstones included), the writer's tick-order check, DTR1
-// corruption detection, and event-level diff.
+// The dtop-trace binary format: varint, character and record codecs on
+// byte buffers (every cut inside a record is loud), header/graph round-trips
+// (tombstones included), the writer's tick-order check, DTR1 corruption
+// detection, the committed golden DTR2 fixtures, and event-level diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -28,9 +30,15 @@ TEST(TraceVarint, RoundTripsBoundaryValues) {
                                   0x100000000ull,
                                   0x7FFFFFFFFFFFFFFFull,
                                   0xFFFFFFFFFFFFFFFFull};
-  std::stringstream ss;
-  for (const std::uint64_t v : values) write_varint(ss, v);
-  for (const std::uint64_t v : values) EXPECT_EQ(read_varint(ss), v);
+  std::string buf;
+  for (const std::uint64_t v : values) put_varint(buf, v);
+  std::size_t pos = 0;
+  for (const std::uint64_t v : values) {
+    std::uint64_t got = 0;
+    ASSERT_EQ(take_varint(buf, pos, got), FrameStatus::kOk);
+    EXPECT_EQ(got, v);
+  }
+  EXPECT_EQ(pos, buf.size());
 }
 
 TEST(TraceVarint, EncodingIsMinimalForSmallValues) {
@@ -46,9 +54,16 @@ TEST(TraceVarint, EncodingIsMinimalForSmallValues) {
 }
 
 TEST(TraceVarint, TruncationThrows) {
-  std::stringstream ss;
-  ss.put(static_cast<char>(0x80));  // continuation bit set, then EOF
-  EXPECT_THROW(read_varint(ss), TraceError);
+  const std::string cut(1, static_cast<char>(0x80));  // continuation, then end
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  EXPECT_EQ(take_varint(cut, pos, v), FrameStatus::kTorn);
+  // Inside a record (a kNodeStep whose tick delta is cut) that is loud.
+  const std::string rec = std::string(1, '\x01') + cut;
+  pos = 0;
+  TraceEvent ev;
+  Tick last_tick = 0;
+  EXPECT_THROW(take_event_record(rec, pos, ev, last_tick), TraceError);
 }
 
 Character full_character() {
@@ -65,17 +80,19 @@ Character full_character() {
 }
 
 TEST(TraceCharacterCodec, RoundTripsAllLanes) {
-  std::stringstream ss;
-  write_character(ss, full_character());
-  write_character(ss, Character{});  // blank
-  EXPECT_EQ(read_character(ss), full_character());
-  EXPECT_EQ(read_character(ss), Character{});
+  std::string buf;
+  put_character(buf, full_character());
+  put_character(buf, Character{});  // blank
+  std::size_t pos = 0;
+  EXPECT_EQ(take_character(buf, pos), full_character());
+  EXPECT_EQ(take_character(buf, pos), Character{});
+  EXPECT_EQ(pos, buf.size());
 }
 
 TEST(TraceCharacterCodec, BlankIsOneByte) {
-  std::stringstream ss;
-  write_character(ss, Character{});
-  EXPECT_EQ(ss.str().size(), 1u);
+  std::string buf;
+  put_character(buf, Character{});
+  EXPECT_EQ(buf.size(), 1u);
 }
 
 RecordedTrace sample_trace() {
@@ -194,18 +211,107 @@ TEST(TraceIo, RejectsAbsurdSlotCount) {
   EXPECT_THROW(read_trace(ss), TraceError);
 }
 
+std::string fixture_bytes(const char* name) {
+  std::ifstream in(std::string(DTOP_TEST_DATA_DIR "/") + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << name;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST(TraceIo, TruncatedEventThrows) {
   // A DTR1 file (no framing to catch the cut) ending in kRunEnd: kind +
   // tick delta + status, 3 bytes. Chop inside it; a mid-event EOF must be
   // loud, not a silent short read.
-  std::ifstream in(DTOP_TEST_DATA_DIR "/torus-4.dtr1", std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  const std::string bytes = fixture_bytes("torus-4.dtr1");
   ASSERT_GT(bytes.size(), 3u);
+  std::size_t pos = sizeof kTraceMagic;
+  (void)take_header_tail(bytes, pos);
+  const std::string_view cut(bytes.data(), bytes.size() - 1);
+  TraceEvent ev;
+  Tick last_tick = 0;
+  std::size_t events = 0;
+  EXPECT_THROW(
+      while (take_event_record(cut, pos, ev, last_tick)) ++events,
+      TraceError);
+  EXPECT_EQ(events, 2112u);  // every record before the cut one decoded
   std::stringstream whole(bytes);
   EXPECT_EQ(read_trace(whole).events.back().kind, TraceEventKind::kRunEnd);
-  std::stringstream cut(bytes.substr(0, bytes.size() - 1));
-  EXPECT_THROW(read_trace(cut), TraceError);
+  std::stringstream cut_stream{std::string(cut)};
+  EXPECT_THROW(read_trace(cut_stream), TraceError);
+}
+
+TEST(TraceIo, EveryCutInsideARecordThrowsAndBoundariesEndCleanly) {
+  // One record of every kind, plus a send carrying every character lane:
+  // decoding a prefix cut at a record boundary stops cleanly there, and a
+  // cut anywhere inside a record throws.
+  std::vector<TraceEvent> events;
+  for (int k = 0; k < kNumTraceEventKinds; ++k) {
+    TraceEvent ev;
+    ev.kind = static_cast<TraceEventKind>(k);
+    ev.tick = 200 + 3 * k;  // the first tick delta takes two bytes
+    ev.a = 300 + static_cast<std::uint32_t>(k);  // so does every `a`
+    switch (ev.kind) {
+      case TraceEventKind::kWireSend:
+        ev.payload.kill = true;
+        break;
+      case TraceEventKind::kInject:
+        ev.b = 1;
+        ev.payload.kill = true;
+        break;
+      case TraceEventKind::kRootEvent:
+        ev.b = 1;
+        ev.c = 1;
+        break;
+      case TraceEventKind::kRcaStart:
+      case TraceEventKind::kRcaPhase:
+      case TraceEventKind::kGrowErased:
+        ev.b = 1;
+        break;
+      default:
+        break;
+    }
+    events.push_back(ev);
+  }
+  TraceEvent full;
+  full.kind = TraceEventKind::kWireSend;
+  full.tick = events.back().tick;
+  full.a = 7;
+  full.payload = full_character();
+  events.push_back(full);
+
+  std::string buf;
+  std::vector<std::size_t> boundaries = {0};
+  Tick last_tick = 0;
+  for (const TraceEvent& ev : events) {
+    put_event_record(buf, ev, last_tick);
+    boundaries.push_back(buf.size());
+  }
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::string_view prefix(buf.data(), cut);
+    const bool at_boundary =
+        std::find(boundaries.begin(), boundaries.end(), cut) !=
+        boundaries.end();
+    std::size_t pos = 0;
+    Tick lt = 0;
+    TraceEvent ev;
+    std::vector<TraceEvent> got;
+    if (at_boundary) {
+      while (take_event_record(prefix, pos, ev, lt)) got.push_back(ev);
+      EXPECT_EQ(pos, cut);
+      EXPECT_EQ(got, std::vector<TraceEvent>(
+                         events.begin(),
+                         events.begin() + static_cast<std::ptrdiff_t>(
+                                              got.size())))
+          << "cut=" << cut;
+      EXPECT_EQ(boundaries[got.size()], cut);
+    } else {
+      EXPECT_THROW(
+          while (take_event_record(prefix, pos, ev, lt)) got.push_back(ev),
+          TraceError)
+          << "cut=" << cut;
+    }
+  }
 }
 
 TEST(TraceIo, EventStreamMayEndWithoutRunEnd) {
@@ -227,6 +333,32 @@ TEST(TraceIo, WriterRejectsTickRegression) {
   w.write(ev);
   ev.tick = 4;
   EXPECT_THROW(w.write(ev), Error);
+}
+
+// Golden DTR2/dlz recordings of torus-4 (one block) and torus-9 (four
+// blocks), made with `dtopctl trace record --family torus --nodes N
+// --codec dlz`. The writer must reproduce them byte for byte.
+TEST(TraceGolden, DlzFixturesReencodeByteForByte) {
+  for (const char* name : {"torus-4.dtr2", "torus-9.dtr2"}) {
+    const std::string bytes = fixture_bytes(name);
+    std::stringstream in(bytes);
+    TraceFile f(in);
+    EXPECT_EQ(f.file_codec(), TraceCodec::kDlz) << name;
+    EXPECT_TRUE(f.indexed()) << name;
+    std::stringstream out;
+    write_trace_dtr2(out, f.read_all(), Dtr2Options{TraceCodec::kDlz});
+    EXPECT_TRUE(out.str() == bytes) << name << " re-encoding differs";
+  }
+  std::stringstream nine(fixture_bytes("torus-9.dtr2"));
+  EXPECT_EQ(TraceFile(nine).num_blocks(), 4u);
+}
+
+TEST(TraceGolden, Dtr2FixtureReadsAsTheDtr1Recording) {
+  std::stringstream d2(fixture_bytes("torus-4.dtr2"));
+  std::stringstream d1(fixture_bytes("torus-4.dtr1"));
+  const RecordedTrace a = read_trace(d2);
+  EXPECT_EQ(a.events.size(), 2113u);
+  EXPECT_TRUE(a == read_trace(d1));
 }
 
 TEST(TraceDiffTest, IdenticalTraces) {
