@@ -18,12 +18,16 @@ ProtocolRun run_verified(const std::string& label, const PortGraph& g,
   run.n = g.num_nodes();
   run.d = diameter(g);
   run.e = g.num_wires();
-  run.result = run_gtd(g, root, opt);
+  trace::TraceRecorder rec;
+  GtdOptions traced = opt;
+  if (opt.spans) traced.trace = &rec;
+  run.result = run_gtd(g, root, traced);
   DTOP_CHECK(run.result.status == RunStatus::kTerminated,
              "benchmark run did not terminate: " + label);
   const VerifyResult v = verify_map(g, root, run.result.map);
   DTOP_CHECK(v.ok, "benchmark run produced a wrong map (" + label +
                        "): " + v.detail);
+  if (opt.spans) run.spans = trace::collect_spans(rec.events());
   return run;
 }
 

@@ -12,21 +12,23 @@
 #include "core/gtd.hpp"
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
-#include "trace/duration_observer.hpp"
 #include "runner/runner.hpp"
 #include "support/table.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop::bench {
 
 // Runs the protocol and returns the result together with the ground-truth
 // quantities the tables report. Aborts loudly if the run is not exact —
-// benchmark numbers from a broken protocol would be meaningless.
+// benchmark numbers from a broken protocol would be meaningless. With
+// opt.spans set, the run is recorded and its RCA/BCA spans read back.
 struct ProtocolRun {
   std::string label;
   NodeId n = 0;
   std::uint32_t d = 0;       // diameter
   std::uint32_t e = 0;       // wires
   GtdResult result;
+  trace::SpanCollector spans;  // empty unless opt.spans
 };
 
 ProtocolRun run_verified(const std::string& label, const PortGraph& g,

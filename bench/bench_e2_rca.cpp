@@ -25,46 +25,22 @@ struct LoopSample {
   double flood = 0, mark = 0, token = 0, unmark = 0;  // phase decomposition
 };
 
-// Duration observer that also captures the Section 4.2.1 phase boundaries.
-class PhaseObserver : public DurationObserver {
- public:
-  struct Stamps {
-    Tick og_head = 0, odt = 0, token_back = 0;
-  };
-  void on_rca_start(NodeId n, Tick t, bool fwd) override {
-    DurationObserver::on_rca_start(n, t, fwd);
-    stamps_.push_back({});
-  }
-  void on_rca_phase(NodeId, Tick t, RcaPhase p) override {
-    if (p == RcaPhase::kWaitOdt) stamps_.back().og_head = t;
-    if (p == RcaPhase::kWaitToken) stamps_.back().odt = t;
-    if (p == RcaPhase::kWaitUnmark) stamps_.back().token_back = t;
-  }
-  const std::vector<Stamps>& stamps() const { return stamps_; }
-
- private:
-  std::vector<Stamps> stamps_;
-};
-
+// Every RCA's duration and its Section 4.2.1 phase boundaries.
 std::vector<LoopSample> collect(const PortGraph& g, NodeId root) {
-  PhaseObserver obs;
   GtdOptions opt;
-  opt.observer = &obs;
+  opt.spans = true;
   const ProtocolRun run = run_verified("rca", g, root, opt);
-  (void)run;
   const auto from_root = bfs_distances(g, root);
   const auto to_root = bfs_distances_to(g, root);
   std::vector<LoopSample> out;
-  for (std::size_t i = 0; i < obs.rca().size(); ++i) {
-    const auto& span = obs.rca()[i];
-    const auto& st = obs.stamps()[i];
+  for (const auto& span : run.spans.rca()) {
     LoopSample s;
     s.loop = static_cast<double>(from_root[span.node] + to_root[span.node]);
     s.duration = static_cast<double>(span.end - span.start);
-    s.flood = static_cast<double>(st.og_head - span.start);
-    s.mark = static_cast<double>(st.odt - st.og_head);
-    s.token = static_cast<double>(st.token_back - st.odt);
-    s.unmark = static_cast<double>(span.end - st.token_back);
+    s.flood = static_cast<double>(span.og_head - span.start);
+    s.mark = static_cast<double>(span.odt - span.og_head);
+    s.token = static_cast<double>(span.token_back - span.odt);
+    s.unmark = static_cast<double>(span.end - span.token_back);
     out.push_back(s);
   }
   return out;

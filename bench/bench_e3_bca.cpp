@@ -32,10 +32,10 @@ void print_table() {
                          .seed = 23}));
 
   for (const auto& [label, g] : workloads) {
-    DurationObserver obs;
     GtdOptions opt;
-    opt.observer = &obs;
+    opt.spans = true;
     const ProtocolRun run = run_verified(label, g, 0, opt);
+    const std::vector<trace::SpanCollector::Span>& bcas = run.spans.bca();
 
     // Reconstruct which edge each BCA reversed: BCAs fire in DFS-return
     // order, and each return pops the node its matching FORWARD pushed, so
@@ -57,8 +57,8 @@ void print_table() {
       const NodeId y_node = stack.back();
       stack.pop_back();
       const NodeId x_node = stack.back();
-      DTOP_CHECK(bca_idx < obs.bca().size(), "more pops than BCAs");
-      const auto& span = obs.bca()[bca_idx++];
+      DTOP_CHECK(bca_idx < bcas.size(), "more pops than BCAs");
+      const auto& span = bcas[bca_idx++];
       DTOP_CHECK(span.node == y_node, "BCA/pop pairing broke");
       const double loop =
           static_cast<double>(bfs_distances(g, y_node)[x_node]) + 1.0;
@@ -66,7 +66,7 @@ void print_table() {
       y.push_back(static_cast<double>(span.end - span.start));
       loop_acc.add(loop);
     }
-    DTOP_CHECK(bca_idx == obs.bca().size(), "unmatched BCAs");
+    DTOP_CHECK(bca_idx == bcas.size(), "unmatched BCAs");
     const LinearFit f = fit_linear(x, y);
     table.row()
         .cell(label)

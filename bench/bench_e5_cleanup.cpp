@@ -39,17 +39,17 @@ void print_table() {
                          .seed = 29}));
 
   for (const auto& [label, g] : workloads) {
-    DurationObserver obs;
     GtdOptions opt;
-    opt.observer = &obs;
+    opt.spans = true;
     const ProtocolRun run = run_verified(label, g, 0, opt);
+    const trace::SpanCollector& spans = run.spans;
 
     Accumulator margin;
     std::size_t re_erasures = 0;
-    for (const auto& span : obs.rca()) {
+    for (const auto& span : spans.rca()) {
       Tick last_erase = span.start;
       std::map<NodeId, int> per_node;
-      for (const auto& er : obs.erasures()) {
+      for (const auto& er : spans.erasures()) {
         if (er.bca_lane) continue;
         if (er.tick >= span.start && er.tick <= span.end) {
           last_erase = std::max(last_erase, er.tick);
@@ -60,8 +60,8 @@ void print_table() {
     }
     table.row()
         .cell(label)
-        .cell(static_cast<std::uint64_t>(obs.rca().size()))
-        .cell(static_cast<std::uint64_t>(obs.erasures().size()))
+        .cell(static_cast<std::uint64_t>(spans.rca().size()))
+        .cell(static_cast<std::uint64_t>(spans.erasures().size()))
         .cell(static_cast<std::uint64_t>(re_erasures))
         .cell(margin.min(), 0)
         .cell(margin.mean(), 1)

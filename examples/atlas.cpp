@@ -8,8 +8,8 @@
 //
 // Prints a run report (ticks, messages, RCA statistics); optionally writes
 // the recovered topology as Graphviz DOT / dtop graph text / dtop map text,
-// and with --trace N prints the first N ticks of wire-level protocol
-// activity (watch the snakes crawl).
+// and with --trace N prints the wire sends of the run's first N ticks, as
+// the run's recording holds them (watch the snakes crawl).
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -21,10 +21,9 @@
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
-#include "trace/duration_observer.hpp"
-#include "proto/trace.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "trace/span_collector.hpp"
 
 int main(int argc, char** argv) {
   using namespace dtop;
@@ -58,37 +57,41 @@ int main(int argc, char** argv) {
             << static_cast<int>(net.delta()) << " D=" << diameter(net)
             << "\n";
 
-  if (trace_ticks > 0) {
-    // Dedicated traced run (separate engine so the main run's statistics
-    // stay untouched by the observer).
-    Transcript transcript;
-    GtdMachine::Config cfg;
-    cfg.transcript = &transcript;
-    GtdEngine engine(net, 0, cfg);
-    engine.schedule(0);
-    WireTrace trace(1, trace_ticks);
-    trace.attach(engine);
-    for (Tick t = 0; t < trace_ticks; ++t) engine.step();
-    std::cout << "wire activity, first " << trace_ticks << " ticks:\n";
-    trace.print(std::cout);
-    std::cout << "\n";
-  }
-
-  DurationObserver obs;
+  trace::TraceRecorder rec;
   GtdOptions opt;
-  opt.observer = &obs;
+  opt.trace = &rec;
+  opt.spans = true;
   const GtdResult r = run_gtd(net, 0, opt);
   if (r.status != RunStatus::kTerminated) {
     std::cerr << "protocol did not terminate\n";
     return 1;
   }
+
+  if (trace_ticks > 0) {
+    std::cout << "wire activity, first " << trace_ticks << " ticks:\n";
+    Tick shown = -1;
+    for (const trace::TraceEvent& ev : rec.events()) {
+      if (ev.tick > trace_ticks) break;
+      if (ev.kind != trace::TraceEventKind::kWireSend) continue;
+      if (ev.tick != shown) {
+        std::cout << "--- tick " << ev.tick << " ---\n";
+        shown = ev.tick;
+      }
+      const Wire& w = net.wire(ev.a);
+      std::cout << "  " << w.from << "[" << static_cast<int>(w.out_port)
+                << "] -> " << w.to << "[" << static_cast<int>(w.in_port)
+                << "]  " << to_string(ev.payload) << "\n";
+    }
+    std::cout << "\n";
+  }
   const VerifyResult v = verify_map(net, 0, r.map);
   std::cout << "ticks=" << r.stats.ticks << " messages=" << r.stats.messages
             << " verdict=" << (v.ok ? "exact" : v.detail) << "\n";
 
+  const trace::SpanCollector spans = trace::collect_spans(rec.events());
   Accumulator rca, bca;
-  for (const auto& s : obs.rca()) rca.add(static_cast<double>(s.duration()));
-  for (const auto& s : obs.bca()) bca.add(static_cast<double>(s.duration()));
+  for (const auto& s : spans.rca()) rca.add(static_cast<double>(s.duration()));
+  for (const auto& s : spans.bca()) bca.add(static_cast<double>(s.duration()));
   if (rca.count() > 0)
     std::cout << "RCAs: " << rca.count() << " (ticks mean "
               << format_double(rca.mean(), 1) << ", max "

@@ -137,7 +137,7 @@ struct TraceOptions {
   std::int64_t max_ticks = 0;  // 0 = automatic budget
   std::string config = "ratio3";  // engine config (ratio1..ratio4)
   std::vector<runner::FaultScenario> scenarios;  // faults applied to the run
-  bool spans = false;        // also record RCA/BCA spans (forces threads 1)
+  bool spans = false;        // also record RCA/BCA spans
   std::string out;           // trace-writing actions: output ("-" = stdout)
 
   // trace-writing actions (record / extract / splice / overwrite)

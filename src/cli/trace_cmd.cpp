@@ -160,10 +160,10 @@ int record_command(const TraceOptions& opt, std::ostream& out,
   trace::TraceRecorder rec;
   GtdOptions gopt;
   gopt.protocol = runner::make_engine_config(opt.config).protocol;
-  gopt.num_threads = opt.spans ? 1 : opt.threads;
+  gopt.num_threads = opt.threads;
   gopt.max_ticks = opt.max_ticks;
   gopt.trace = &rec;
-  if (opt.spans) gopt.observer = &rec;
+  gopt.spans = opt.spans;
   for (const runner::FaultScenario& sc : opt.scenarios) {
     if (sc.kind == runner::FaultScenario::Kind::kBudget) {
       gopt.max_ticks = gopt.max_ticks > 0 ? std::min(gopt.max_ticks, sc.at)
@@ -340,7 +340,9 @@ int extract_command(const TraceOptions& opt, std::ostream& out,
 // Shared tail of splice/overwrite: re-run the edited injection set under a
 // fresh recorder and write the result. The output is a genuine recording —
 // it replays clean — rather than a stitched event stream that never ran.
-int rerecord_and_write(const TraceOptions& opt, const trace::TraceHeader& base,
+// Span events ride along when the base trace has them.
+int rerecord_and_write(const TraceOptions& opt,
+                       const trace::RecordedTrace& base,
                        std::vector<trace::TraceInjection> injections,
                        std::ostream& out, std::ostream& err) {
   const RerecordResult rr = rerecord_gtd(base, std::move(injections));
@@ -380,7 +382,7 @@ int splice_command(const TraceOptions& opt, std::ostream& out,
   }
   std::vector<trace::TraceInjection> merged = trace::merge_injections(
       trace::injections_in_range(base, trace::EventRange{}), grafted);
-  return rerecord_and_write(opt, base.header, std::move(merged), out, err);
+  return rerecord_and_write(opt, base, std::move(merged), out, err);
 }
 
 int overwrite_command(const TraceOptions& opt, std::ostream& out,
@@ -404,7 +406,7 @@ int overwrite_command(const TraceOptions& opt, std::ostream& out,
       << "adding " << added.size() << "\n";
   std::vector<trace::TraceInjection> merged =
       trace::merge_injections(std::move(kept), added);
-  return rerecord_and_write(opt, base.header, std::move(merged), out, err);
+  return rerecord_and_write(opt, base, std::move(merged), out, err);
 }
 
 std::string hex16(std::uint64_t v) {
@@ -570,10 +572,6 @@ TraceOptions parse_trace_args(const std::vector<std::string>& args) {
     check_spec(opt.spec);
     if (opt.out.empty()) {
       throw UsageError("'trace record' needs --out <file>");
-    }
-    if (opt.spans && opt.threads > 1) {
-      throw UsageError("--spans requires --threads 1 (protocol observers "
-                       "are single-threaded)");
     }
   } else if (opt.action == "diff") {
     if (opt.trace_file.empty() || opt.trace_b.empty()) {

@@ -33,15 +33,13 @@ bool end_state_clean(GtdEngine& engine) {
 
 GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   DTOP_REQUIRE(opt.num_threads >= 1, "num_threads >= 1");
-  DTOP_REQUIRE(opt.observer == nullptr || opt.num_threads == 1,
-               "protocol observers require a single-threaded engine");
 
   GtdResult result;
 
   GtdMachine::Config cfg;
   cfg.protocol = opt.protocol;
   cfg.transcript = &result.transcript;
-  cfg.observer = opt.observer;
+  cfg.spans = opt.spans;
 
   EngineOptions eopt;
   eopt.num_threads = opt.num_threads;
@@ -54,7 +52,6 @@ GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   if (opt.trace) {
     opt.trace->begin(g, root, opt.protocol);
     engine.set_trace_sink(opt.trace);
-    result.transcript.set_tap(opt.trace);
   }
   engine.schedule(root);
 
@@ -103,10 +100,7 @@ GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   // replay reproduces them too. (On a protocol violation an exception has
   // already unwound past this point and the recorder keeps its partial
   // stream — that, plus never reaching finish(), is the trace of a crash.)
-  if (opt.trace) {
-    result.transcript.set_tap(nullptr);
-    opt.trace->finish(engine.now(), result.status);
-  }
+  if (opt.trace) opt.trace->finish(engine.now(), result.status);
 
   return result;
 }

@@ -33,8 +33,11 @@ struct GtdOptions {
   // 0 = automatic budget (a generous multiple of the O(N*D) bound). The
   // budget only guards against livelock in broken (ablated) configurations.
   Tick max_ticks = 0;
-  ProtoObserver* observer = nullptr;  // requires num_threads == 1
-  bool audit_end_state = true;        // check Lemma 4.2 pristineness
+  // Also record RCA/BCA span events (GtdNote span kinds) into `trace`;
+  // trace::collect_spans then reads them back. Without a trace the span
+  // notes are dropped.
+  bool spans = false;
+  bool audit_end_state = true;  // check Lemma 4.2 pristineness
 
   // Arena the run's engine state lives in. nullptr = the engine owns a
   // private per-run arena. Long-lived callers (runner workers, dtopd
@@ -53,12 +56,11 @@ struct GtdOptions {
   std::vector<trace::TraceInjection> injections;
 
   // When set, the full run is recorded: begin() is called with the run's
-  // identity, every engine/transcript event is captured, and finish() seals
-  // the trace — unless the run dies in a protocol violation, in which case
-  // the recorder keeps the partial event stream for post-mortem. Recording
-  // is bit-identical at any num_threads. To also capture RCA/BCA span
-  // events, pass the same recorder as `observer` (single-threaded only; the
-  // trace then becomes thread-count specific).
+  // identity, every engine/transcript event (and, with `spans`, every span
+  // event) is captured, and finish() seals the trace — unless the run dies
+  // in a protocol violation, in which case the recorder keeps the partial
+  // event stream for post-mortem. Recording is bit-identical at any
+  // num_threads.
   trace::TraceRecorder* trace = nullptr;
 
   // Observability hook, forwarded to EngineOptions::metrics. Strictly
@@ -134,11 +136,12 @@ struct RerecordResult {
   RunStatus status = RunStatus::kTickBudget;
 };
 
-// Runs the network/root/config a trace header describes with `injections`
-// as the only external perturbations, recording everything. A violation is
+// Runs the network/root/config `base`'s header describes with `injections`
+// as the only external perturbations, recording everything — span events
+// too when `base` carries them (trace::has_span_events). A violation is
 // captured, not thrown: the result then holds the partial stream a live
 // crash would have left on disk (no terminal kRunEnd).
-RerecordResult rerecord_gtd(const trace::TraceHeader& header,
+RerecordResult rerecord_gtd(const trace::RecordedTrace& base,
                             std::vector<trace::TraceInjection> injections);
 
 }  // namespace dtop

@@ -7,6 +7,7 @@
 // engine is deterministic, the produced stream either matches the recording
 // event-for-event or the first mismatch localizes the problem to a tick.
 #include "core/gtd.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop {
 namespace {
@@ -27,39 +28,17 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   h.graph.validate();
   DTOP_REQUIRE(h.root < h.graph.num_nodes(), "replay: root out of range");
 
-  // A trace that contains span events was recorded with the observer facet
-  // attached; the replay must mirror that, or every span event would read
-  // as a divergence. Observers require a single-threaded engine.
-  bool has_spans = false;
-  for (const trace::TraceEvent& ev : rec.events) {
-    switch (ev.kind) {
-      case trace::TraceEventKind::kRcaStart:
-      case trace::TraceEventKind::kRcaPhase:
-      case trace::TraceEventKind::kRcaComplete:
-      case trace::TraceEventKind::kBcaStart:
-      case trace::TraceEventKind::kBcaComplete:
-      case trace::TraceEventKind::kGrowErased:
-        has_spans = true;
-        break;
-      default:
-        break;
-    }
-    if (has_spans) break;
-  }
-  DTOP_REQUIRE(!has_spans || num_threads == 1,
-               "replay: this trace contains span events (recorded with "
-               "--spans) and must be replayed with 1 thread");
-
+  // A trace recorded with span events must be replayed with them, or
+  // every span event would read as a divergence.
   trace::TraceRecorder live;
   GtdMachine::Config cfg;
   cfg.protocol = h.config;
   cfg.transcript = &rr.transcript;
-  if (has_spans) cfg.observer = &live;
+  cfg.spans = trace::has_span_events(rec);
 
   GtdEngine engine(h.graph, h.root, cfg, num_threads, arena);
   live.begin(h.graph, h.root, h.config);
   engine.set_trace_sink(&live);
-  rr.transcript.set_tap(&live);
 
   // External events indexed by their position in the recorded stream; they
   // are re-applied (in recorded order) when the clock reads their tick, and
@@ -146,7 +125,6 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   if (!rr.diverged) (void)in_sync();
 
   rr.stats = engine.stats();
-  rr.transcript.set_tap(nullptr);
 
   if (!rr.diverged) {
     if (checked < rec.events.size()) {

@@ -8,11 +8,13 @@
 // a protocol violation yields exactly what a live run would have left
 // behind — a partial stream without a terminal kRunEnd.
 #include "core/gtd.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop {
 
-RerecordResult rerecord_gtd(const trace::TraceHeader& header,
+RerecordResult rerecord_gtd(const trace::RecordedTrace& base,
                             std::vector<trace::TraceInjection> injections) {
+  const trace::TraceHeader& header = base.header;
   header.graph.validate();
   DTOP_REQUIRE(header.root < header.graph.num_nodes(),
                "rerecord: root out of range");
@@ -22,6 +24,7 @@ RerecordResult rerecord_gtd(const trace::TraceHeader& header,
   opt.protocol = header.config;
   opt.injections = std::move(injections);
   opt.trace = &rec;
+  opt.spans = trace::has_span_events(base);
 
   RerecordResult out;
   try {

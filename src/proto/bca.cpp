@@ -32,7 +32,7 @@ void GtdMachine::start_bca(Ctx& ctx, Port req_in, std::uint8_t payload) {
   st_.bca_payload = payload;
   st_.bca_phase = BcaPhase::kWaitLoopback;
   flood_baby_snake(GrowKind::kBG);
-  if (cfg_.observer) cfg_.observer->on_bca_start(env_.debug_id, ctx.now());
+  note_span(ctx, GtdNote::kBcaStart);
 }
 
 void GtdMachine::bca_on_bg_head(Ctx& ctx, const SnakeChar& c, Port p) {
@@ -87,7 +87,7 @@ void GtdMachine::bca_on_bunmark_return(Ctx& ctx) {
   st_.bca_marks.clear();
   st_.bca_phase = BcaPhase::kIdle;
   st_.bca_req_in = kNoPort;
-  if (cfg_.observer) cfg_.observer->on_bca_complete(env_.debug_id, ctx.now());
+  note_span(ctx, GtdNote::kBcaComplete);
   dfs_on_bca_done(ctx);
   if (was_target && pending) dfs_on_delivery(ctx, payload, out_q);
 }

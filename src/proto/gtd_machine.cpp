@@ -195,6 +195,8 @@ void GtdMachine::emit_pending(Ctx& ctx) {
 void GtdMachine::emit_event(Ctx& ctx, TranscriptEvent::Kind kind, Port out,
                             Port in) {
   DTOP_CHECK(env_.is_root, "transcript events originate at the root");
+  ctx.note({static_cast<std::uint8_t>(GtdNote::kRootEvent), out, in,
+            static_cast<std::uint32_t>(kind)});
   if (!cfg_.transcript) return;
   TranscriptEvent ev;
   ev.kind = kind;

@@ -18,12 +18,30 @@
 
 #include "proto/alphabet.hpp"
 #include "proto/machine_state.hpp"
-#include "proto/observer.hpp"
 #include "proto/transcript.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 
 namespace dtop {
+
+// The kinds of StepNote a GtdMachine makes (sim/trace_sink.hpp). The root
+// notes every transcript entry it emits; span notes, made only when
+// Config::spans is set, mark the RCA/BCA boundaries the benches and the
+// serialization audits measure. `node` is MachineEnv::debug_id — purely
+// for attribution; the protocol itself is anonymous.
+enum class GtdNote : std::uint8_t {
+  kRootEvent,    // a = TranscriptEvent::Kind, b = out port, c = in port
+  kRcaStart,     // a = node, b = forward (0/1)
+  kRcaPhase,     // a = node, b = RcaPhase entered: kWaitOdt when the first
+                 // OG head survives to A, kWaitToken when the bare ODT
+                 // arrives, kWaitUnmark when the FORWARD/BACK token returns
+  kRcaComplete,  // a = node
+  kBcaStart,     // a = node
+  kBcaComplete,  // a = node
+  kGrowErased,   // a = node, b = bca_lane (0/1): a KILL/BKILL contact
+                 // erased growing-lane state
+};
+inline constexpr int kNumGtdNotes = 7;
 
 class GtdMachine {
  public:
@@ -33,7 +51,7 @@ class GtdMachine {
   struct Config {
     ProtocolConfig protocol;
     Transcript* transcript = nullptr;  // written by the root machine only
-    ProtoObserver* observer = nullptr; // optional; single-threaded runs only
+    bool spans = false;                // also note RCA/BCA span events
   };
 
   GtdMachine(const MachineEnv& env, const Config& cfg);
@@ -109,6 +127,11 @@ class GtdMachine {
                      Port port, int delay);
   void emit_event(Ctx& ctx, TranscriptEvent::Kind kind, Port out = kNoPort,
                   Port in = kNoPort);
+  // A span note about this node (no-op unless Config::spans).
+  void note_span(Ctx& ctx, GtdNote kind, std::uint8_t b = 0) const {
+    if (cfg_.spans) ctx.note({static_cast<std::uint8_t>(kind), b, 0,
+                              env_.debug_id});
+  }
   void for_each_out_port(const auto& fn) const {
     for (Port p = 0; p < env_.delta; ++p)
       if (env_.out_mask & (1u << p)) fn(p);

@@ -57,8 +57,7 @@ void GtdMachine::erase_grow_state(Ctx& ctx, bool bca_lane) {
     if (!drop) st_.outq[w++] = ps;
   }
   while (st_.outq.size() > w) st_.outq.pop_back();
-  if (cfg_.observer)
-    cfg_.observer->on_grow_erased(env_.debug_id, ctx.now(), bca_lane);
+  note_span(ctx, GtdNote::kGrowErased, bca_lane);
 }
 
 void GtdMachine::handle_kill(Ctx& ctx) {

@@ -27,13 +27,10 @@ void GtdMachine::start_rca(Ctx& ctx, const RcaToken& token) {
   st_.rca_phase = RcaPhase::kWaitOg;
   st_.og_closed = false;
   flood_baby_snake(GrowKind::kIG);
-  if (cfg_.observer)
-    cfg_.observer->on_rca_start(env_.debug_id, ctx.now(),
-                                token.kind == RcaToken::Kind::kForward);
+  note_span(ctx, GtdNote::kRcaStart, token.kind == RcaToken::Kind::kForward);
 }
 
 void GtdMachine::rca_on_og_head(Ctx& ctx, const SnakeChar& c, Port p) {
-  (void)ctx;
   DTOP_CHECK(c.part == SnakePart::kHead,
              "first OG character at the initiator must be the head");
   // The eaten head encodes A's first edge on the canonical path A -> root:
@@ -53,8 +50,7 @@ void GtdMachine::rca_on_og_head(Ctx& ctx, const SnakeChar& c, Port p) {
   st_.conv_grow.out_port = c.out;
   st_.conv_grow.promote_next = true;
   st_.rca_phase = RcaPhase::kWaitOdt;
-  if (cfg_.observer)
-    cfg_.observer->on_rca_phase(env_.debug_id, ctx.now(), st_.rca_phase);
+  note_span(ctx, GtdNote::kRcaPhase, static_cast<std::uint8_t>(st_.rca_phase));
 }
 
 void GtdMachine::rca_on_odt(Ctx& ctx, Port p) {
@@ -69,8 +65,7 @@ void GtdMachine::rca_on_odt(Ctx& ctx, Port p) {
   st_.rtok.port = st_.loop.succ1;
   st_.rtok.delay = 0;
   st_.rca_phase = RcaPhase::kWaitToken;
-  if (cfg_.observer)
-    cfg_.observer->on_rca_phase(env_.debug_id, ctx.now(), st_.rca_phase);
+  note_span(ctx, GtdNote::kRcaPhase, static_cast<std::uint8_t>(st_.rca_phase));
 }
 
 void GtdMachine::rca_on_token_return(Ctx& ctx) {
@@ -81,15 +76,14 @@ void GtdMachine::rca_on_token_return(Ctx& ctx) {
   st_.rtok.port = st_.loop.succ1;
   st_.rtok.delay = 1;
   st_.rca_phase = RcaPhase::kWaitUnmark;
-  if (cfg_.observer)
-    cfg_.observer->on_rca_phase(env_.debug_id, ctx.now(), st_.rca_phase);
+  note_span(ctx, GtdNote::kRcaPhase, static_cast<std::uint8_t>(st_.rca_phase));
 }
 
 void GtdMachine::rca_on_unmark_return(Ctx& ctx) {
   st_.loop.clear_slot1();
   st_.og_closed = false;
   st_.rca_phase = RcaPhase::kIdle;
-  if (cfg_.observer) cfg_.observer->on_rca_complete(env_.debug_id, ctx.now());
+  note_span(ctx, GtdNote::kRcaComplete);
   dfs_on_rca_done(ctx);
 }
 

@@ -47,35 +47,17 @@ struct TranscriptEvent {
 const char* to_cstr(TranscriptEvent::Kind k);
 std::string to_string(const TranscriptEvent& ev);
 
-// Receives every transcript event as it is emitted. Implemented by the
-// trace layer (src/trace) to mirror the root's computational transcript
-// into the unified run trace; the Transcript itself stays the in-memory
-// stream the map builder consumes.
-class TranscriptSink {
- public:
-  virtual ~TranscriptSink() = default;
-  virtual void on_transcript(const TranscriptEvent& ev) = 0;
-};
-
 // Append-only event stream written by the root machine and read by the
-// master computer (core/map_builder).
+// master computer (core/map_builder). The root also notes every entry to
+// the engine (GtdNote::kRootEvent), which is how a run trace mirrors it.
 class Transcript {
  public:
-  void emit(const TranscriptEvent& ev) {
-    events_.push_back(ev);
-    if (tap_) tap_->on_transcript(ev);
-  }
+  void emit(const TranscriptEvent& ev) { events_.push_back(ev); }
   const std::vector<TranscriptEvent>& events() const { return events_; }
   std::string to_string() const;
 
-  // Mirrors every subsequent emit into `tap` (nullptr detaches). Only the
-  // root machine writes a transcript, so the tap inherits its single-writer
-  // discipline even on a multi-threaded engine.
-  void set_tap(TranscriptSink* tap) { tap_ = tap; }
-
  private:
   std::vector<TranscriptEvent> events_;
-  TranscriptSink* tap_ = nullptr;
 };
 
 }  // namespace dtop

@@ -56,10 +56,12 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "graph/port_graph.hpp"
 #include "obs/engine_metrics.hpp"
@@ -190,13 +192,16 @@ inline std::size_t bitmap_for_each(const WireBitmap& b, Fn&& fn) {
 
 }  // namespace detail
 
-// Per-worker effect list, sized at engine construction so the hot path can
-// append without bounds checks: a stepped node contributes at most one
-// self-reschedule, so a chunk of k nodes writes <= k sched entries. The
-// buffer carries one slot of slack because the branch-free self-reschedule
-// stores unconditionally and only advances the length when the machine
-// stayed non-idle. Cache-line aligned so workers never false-share; each
-// worker first-touches its own buffer before the first tick.
+// Per-worker effect lists. The self-reschedule list is sized at engine
+// construction so the hot path can append without bounds checks: a stepped
+// node contributes at most one self-reschedule, so a chunk of k nodes
+// writes <= k sched entries. The buffer carries one slot of slack because
+// the branch-free self-reschedule stores unconditionally and only advances
+// the length when the machine stayed non-idle. Notes (StepContext::note)
+// are few and unbounded per node, so they go to a vector reserved up front
+// that keeps its capacity across ticks. Cache-line aligned so workers never
+// false-share; each worker first-touches its own buffer before the first
+// tick.
 struct alignas(64) EngineScratch {
   NodeId* sched = nullptr;
   std::size_t sched_len = 0;
@@ -205,6 +210,9 @@ struct alignas(64) EngineScratch {
   // This worker's step-loop duration for the current forked tick; written
   // only when a metrics hook is attached (the imbalance histogram).
   std::uint64_t step_ns = 0;
+  std::vector<StepNote> notes;
+  // The exception that ended this worker's chunk of a forked tick.
+  std::exception_ptr error;
 };
 
 // Engine construction knobs beyond the graph/root/config triple.
@@ -272,6 +280,12 @@ class StepContext {
 
   bool out_connected(Port p) const { return out_wires_[p] != kNoWire; }
 
+  // Records an observation of this update for the engine's trace sink
+  // (EngineTraceSink::on_note). Notes travel in the stepping worker's
+  // effect list, so they reach the sink in active-set order at any thread
+  // count; with no sink attached the engine drops them.
+  void note(const StepNote& n) { scratch_->notes.push_back(n); }
+
   // Engine wiring (filled per stepped node). `out_wires_` points at the
   // node's row of the flattened port->wire table: kMaxDegree entries,
   // unconnected ports hold kNoWire.
@@ -301,6 +315,9 @@ class SyncEngine {
   // imbalance histogram on forked ticks. Pools larger than this (none in
   // practice) record the first kMaxEngineWorkers chunks only.
   static constexpr int kMaxEngineWorkers = 256;
+
+  // Notes each worker's list holds before it first touches the heap.
+  static constexpr std::size_t kNoteReserve = 64;
 
   // When `opt.arena` is null the engine owns a private arena; a
   // caller-supplied arena must outlive the engine and may be reset (and
@@ -389,6 +406,7 @@ class SyncEngine {
       // whole active set on the calling thread.
       s->sched_cap = (t == 0 ? n : chunk) + 1;
       s->sched = arena_->allocate_array<NodeId>(s->sched_cap);
+      s->notes.reserve(kNoteReserve);
     }
     // First-touch: each worker initialises its own scratch buffer so the
     // pages land on the worker's node (workers were pinned — if requested —
@@ -406,7 +424,11 @@ class SyncEngine {
              int num_threads = 1, Arena* arena = nullptr)
       : SyncEngine(g, root, cfg, EngineOptions{num_threads, arena}) {}
 
-  ~SyncEngine() { publish_pool_parks(); }
+  ~SyncEngine() {
+    publish_pool_parks();
+    for (int t = 0; t < pool_.size(); ++t)
+      scratch_[static_cast<std::size_t>(t)].~EngineScratch();
+  }
 
   const PortGraph& graph() const { return *graph_; }
   NodeId root() const { return root_; }
@@ -518,6 +540,14 @@ class SyncEngine {
     // enough node work to split. Small active sets (the common case outside
     // snake floods) run inline; the result is bit-identical either way.
     const int nthreads = count >= grain_ * 2 ? pool_.size() : 1;
+    const std::size_t pool_size = static_cast<std::size_t>(pool_.size());
+    // A throwing node update ends the tick. `failure` is the exception of
+    // the first throwing node in active order, and `noted` the workers
+    // whose notes still reach the sink: those whose chunks precede it, and
+    // its own (up to the throw) — the notes a sequential scan would have
+    // made before stopping there.
+    std::exception_ptr failure;
+    std::size_t noted = pool_size;
     if (count > 0 && nthreads > 1) {
       pool_.run([&](int t) {
         EngineScratch& s = scratch_[static_cast<std::size_t>(t)];
@@ -528,8 +558,12 @@ class SyncEngine {
         const std::size_t end = count * static_cast<std::size_t>(t + 1) /
                                 static_cast<std::size_t>(nthreads);
         const NodeId* act = active_.data();
-        for (std::size_t i = begin; i < end; ++i)
-          step_node(act[i], s, /*serial=*/false);
+        try {
+          for (std::size_t i = begin; i < end; ++i)
+            step_node(act[i], s, /*serial=*/false);
+        } catch (...) {
+          s.error = std::current_exception();
+        }
         if (timed) {
           s.step_ns = static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -537,15 +571,37 @@ class SyncEngine {
                   .count());
         }
       });
+      for (std::size_t t = static_cast<std::size_t>(nthreads); t-- > 0;) {
+        if (scratch_[t].error) {
+          failure = std::exchange(scratch_[t].error, nullptr);
+          noted = t + 1;
+        }
+      }
     } else if (count > 0) {
       // Inline tick: the stepping thread is the only writer, so wires are
       // staged without atomics.
       EngineScratch& s = scratch_[0];
       const NodeId* act = active_.data();
-      for (std::size_t i = 0; i < count; ++i)
-        step_node(act[i], s, /*serial=*/true);
+      try {
+        for (std::size_t i = 0; i < count; ++i)
+          step_node(act[i], s, /*serial=*/true);
+      } catch (...) {
+        failure = std::current_exception();
+      }
     }
     if (timed) t2 = clock::now();
+
+    // Notes first, concatenated in worker order: each worker stepped a
+    // contiguous chunk of the active set, so this is active-set order, as
+    // for the self-reschedules merged below.
+    for (std::size_t t = 0; t < pool_size; ++t) {
+      std::vector<StepNote>& notes = scratch_[t].notes;
+      if (trace_ && t < noted) {
+        for (const StepNote& n : notes) trace_->on_note(tick_, n);
+      }
+      notes.clear();
+    }
+    if (failure) std::rethrow_exception(failure);
 
     // Trace the tick's node activations before merging effects; active-set
     // order is itself a deterministic function of the previous merges.
@@ -558,7 +614,6 @@ class SyncEngine {
     // contiguous chunk of the active set, so concatenating the per-worker
     // self-reschedule lists in worker order reproduces the order a
     // sequential scan of `active_` would have produced).
-    const std::size_t pool_size = static_cast<std::size_t>(pool_.size());
     for (std::size_t t = 0; t < pool_size; ++t) {
       EngineScratch& s = scratch_[t];
       pending_.append(s.sched, s.sched_len);

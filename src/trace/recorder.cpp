@@ -1,5 +1,7 @@
 #include "trace/recorder.hpp"
 
+#include "proto/gtd_machine.hpp"
+
 namespace dtop::trace {
 
 void TraceRecorder::begin(const PortGraph& g, NodeId root,
@@ -80,45 +82,22 @@ void TraceRecorder::on_inject(Tick now, WireId w, const Character& m,
   push(ev);
 }
 
-void TraceRecorder::on_transcript(const TranscriptEvent& tev) {
-  push(make_root_event(tev));
-}
-
-namespace {
-TraceEvent span_event(TraceEventKind kind, NodeId node, Tick now,
-                      std::uint8_t b = 0) {
+void TraceRecorder::on_note(Tick tick, const StepNote& n) {
+  // GtdNote order is TraceEventKind order from kRootEvent on.
+  static constexpr TraceEventKind kKinds[kNumGtdNotes] = {
+      TraceEventKind::kRootEvent,   TraceEventKind::kRcaStart,
+      TraceEventKind::kRcaPhase,    TraceEventKind::kRcaComplete,
+      TraceEventKind::kBcaStart,    TraceEventKind::kBcaComplete,
+      TraceEventKind::kGrowErased,
+  };
+  DTOP_CHECK(n.kind < kNumGtdNotes, "unknown machine note kind");
   TraceEvent ev;
-  ev.kind = kind;
-  ev.tick = now;
-  ev.a = node;
-  ev.b = b;
-  return ev;
-}
-}  // namespace
-
-void TraceRecorder::on_rca_start(NodeId node, Tick now, bool forward) {
-  push(span_event(TraceEventKind::kRcaStart, node, now, forward ? 1 : 0));
-}
-
-void TraceRecorder::on_rca_phase(NodeId node, Tick now, RcaPhase phase) {
-  push(span_event(TraceEventKind::kRcaPhase, node, now,
-                  static_cast<std::uint8_t>(phase)));
-}
-
-void TraceRecorder::on_rca_complete(NodeId node, Tick now) {
-  push(span_event(TraceEventKind::kRcaComplete, node, now));
-}
-
-void TraceRecorder::on_bca_start(NodeId node, Tick now) {
-  push(span_event(TraceEventKind::kBcaStart, node, now));
-}
-
-void TraceRecorder::on_bca_complete(NodeId node, Tick now) {
-  push(span_event(TraceEventKind::kBcaComplete, node, now));
-}
-
-void TraceRecorder::on_grow_erased(NodeId node, Tick now, bool bca_lane) {
-  push(span_event(TraceEventKind::kGrowErased, node, now, bca_lane ? 1 : 0));
+  ev.kind = kKinds[n.kind];
+  ev.tick = tick;
+  ev.a = n.a;
+  ev.b = n.b;
+  ev.c = n.c;
+  push(ev);
 }
 
 }  // namespace dtop::trace

@@ -1,28 +1,23 @@
 // TraceRecorder: the one object that turns a live run into a RecordedTrace.
 //
-// It plugs into all three observation channels at once:
-//   - engine events, as the engine's EngineTraceSink<Character>;
-//   - the root's transcript, as a TranscriptSink tap;
-//   - protocol spans, as a ProtoObserver (optional — observers require a
-//     single-threaded engine, and span events make a trace thread-count
-//     specific; attach this facet only for instrumentation traces).
+// It is the engine's EngineTraceSink<Character>, and that one sink sees
+// everything: engine events (schedules, steps, sends, injections) and the
+// notes the machines make during their updates — the root's transcript
+// entries and, when the run sets GtdOptions::spans, the RCA/BCA span
+// events. Notes reach the sink in active-set order at any thread count, so
+// every recording, spans included, is bit-identical at any num_threads.
 //
-// run_gtd wires the first two up automatically when GtdOptions::trace is
-// set; pass the recorder as GtdOptions::observer as well to add spans.
+// run_gtd wires it up when GtdOptions::trace is set.
 #pragma once
 
 #include <vector>
 
-#include "proto/observer.hpp"
-#include "proto/transcript.hpp"
 #include "sim/trace_sink.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dtop::trace {
 
-class TraceRecorder final : public EngineTraceSink<Character>,
-                            public TranscriptSink,
-                            public ProtoObserver {
+class TraceRecorder final : public EngineTraceSink<Character> {
  public:
   TraceRecorder() = default;
 
@@ -45,21 +40,13 @@ class TraceRecorder final : public EngineTraceSink<Character>,
 
   // EngineTraceSink.
   void on_schedule(Tick now, NodeId v) override;
+  // A GtdNote becomes the trace event of the same name (kRootEvent,
+  // kRcaStart, ... kGrowErased) with the note's a/b/c fields.
+  void on_note(Tick tick, const StepNote& n) override;
   void on_step(Tick tick, NodeId v) override;
   void on_send(Tick tick, WireId w, const Character& m) override;
   void on_inject(Tick now, WireId w, const Character& m,
                  bool overwrote) override;
-
-  // TranscriptSink.
-  void on_transcript(const TranscriptEvent& ev) override;
-
-  // ProtoObserver (span facet).
-  void on_rca_start(NodeId node, Tick now, bool forward) override;
-  void on_rca_phase(NodeId node, Tick now, RcaPhase phase) override;
-  void on_rca_complete(NodeId node, Tick now) override;
-  void on_bca_start(NodeId node, Tick now) override;
-  void on_bca_complete(NodeId node, Tick now) override;
-  void on_grow_erased(NodeId node, Tick now, bool bca_lane) override;
 
  private:
   void push(TraceEvent ev);

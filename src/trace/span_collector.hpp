@@ -3,17 +3,18 @@
 // guarantees at most one RCA and one BCA in flight at any time, so
 // overlapping spans are a hard error.
 //
-// This is the single home of the span bookkeeping: the live DurationObserver
-// (trace/duration_observer.hpp) and offline consumers of recorded traces
-// (`dtopctl trace inspect`) both feed their events through here, so a span
-// computed after the fact from a trace file is bit-for-bit the span a live
-// observer would have measured.
+// This is the single home of the span bookkeeping: the benches (E2, E3,
+// E5), the tests and `dtopctl trace inspect` all record a run with
+// GtdOptions::spans and read its spans back through here, so a span
+// computed from a trace file is bit-for-bit the span a live run measures.
 #pragma once
 
 #include <vector>
 
+#include "proto/machine_state.hpp"
 #include "support/error.hpp"
 #include "trace/trace_event.hpp"
+#include "trace/trace_io.hpp"
 
 namespace dtop::trace {
 
@@ -27,6 +28,12 @@ class SpanCollector {
     // or budget-cut trace): its end/duration are meaningless and consumers
     // must not fold it into duration statistics.
     bool closed = false;
+    // RCAs only: the ticks of the initiator's three phase transitions
+    // (kRcaPhase), 0 until seen — the first OG head surviving to A
+    // (kWaitOdt), the bare ODT arriving (kWaitToken), and the FORWARD/BACK
+    // token returning (kWaitUnmark). They split the per-loop-hop constant
+    // of Lemma 4.3 (experiment E2).
+    Tick og_head = 0, odt = 0, token_back = 0;
 
     Tick duration() const { return end - start; }
   };
@@ -46,6 +53,18 @@ class SpanCollector {
         rca_open_ = true;
         rca_.push_back(Span{ev.a, ev.tick, 0, ev.b != 0});
         break;
+      case TraceEventKind::kRcaPhase: {
+        DTOP_CHECK(rca_open_ && rca_.back().node == ev.a,
+                   "RCA phase without a start");
+        Span& s = rca_.back();
+        switch (static_cast<RcaPhase>(ev.b)) {
+          case RcaPhase::kWaitOdt: s.og_head = ev.tick; break;
+          case RcaPhase::kWaitToken: s.odt = ev.tick; break;
+          case RcaPhase::kWaitUnmark: s.token_back = ev.tick; break;
+          default: break;
+        }
+        break;
+      }
       case TraceEventKind::kRcaComplete:
         DTOP_CHECK(rca_open_ && !rca_.empty() && rca_.back().node == ev.a,
                    "RCA completion without a start");
@@ -88,6 +107,18 @@ inline SpanCollector collect_spans(const std::vector<TraceEvent>& events) {
   SpanCollector c;
   for (const TraceEvent& ev : events) c.consume(ev);
   return c;
+}
+
+// True when `t` was recorded with span events (GtdOptions::spans): a
+// re-execution that must reproduce it has to record them too.
+inline bool has_span_events(const RecordedTrace& t) {
+  for (const TraceEvent& ev : t.events) {
+    if (ev.kind >= TraceEventKind::kRcaStart &&
+        ev.kind <= TraceEventKind::kGrowErased) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace dtop::trace

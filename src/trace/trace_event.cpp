@@ -39,7 +39,8 @@ std::string to_string(const TraceEvent& ev) {
            dtop::to_string(ev.payload) + "]";
       break;
     case TraceEventKind::kRootEvent:
-      s += " " + dtop::to_string(to_transcript_event(ev));
+      s += ' ';
+      s += dtop::to_string(to_transcript_event(ev));
       break;
     case TraceEventKind::kRcaStart:
       s += " node=" + std::to_string(ev.a) +
@@ -63,16 +64,6 @@ std::string to_string(const TraceEvent& ev) {
       break;
   }
   return s;
-}
-
-TraceEvent make_root_event(const TranscriptEvent& ev) {
-  TraceEvent out;
-  out.kind = TraceEventKind::kRootEvent;
-  out.tick = ev.tick;
-  out.a = static_cast<std::uint32_t>(ev.kind);
-  out.b = ev.out;
-  out.c = ev.in;
-  return out;
 }
 
 TranscriptEvent to_transcript_event(const TraceEvent& ev) {

@@ -8,20 +8,20 @@
 //     fault injections (sim/trace_sink.hpp);
 //   - the root's computational transcript (proto/transcript.hpp), mirrored
 //     one-to-one as kRootEvent records;
-//   - protocol instrumentation spans (proto/observer.hpp): RCA/BCA start,
-//     phase transitions and completion, growing-state erasures;
+//   - protocol instrumentation spans (GtdNote in proto/gtd_machine.hpp,
+//     recorded with GtdOptions::spans): RCA/BCA start, phase transitions
+//     and completion, growing-state erasures;
 //   - a terminal kRunEnd record carrying the run status, written only when
 //     the run ended cleanly (a trace of a run that died mid-tick simply
 //     stops, which is itself information).
 //
 // Within a tick, events appear in a fixed order: transcript/span events
-// (emitted during node updates), then kNodeStep activations in active-set
-// order, then kWireSend records in staging order, then any kInject records
-// placed between this tick and the next. The engine emits its events
-// sequentially after each tick's fork-join, so the stream is bit-identical
-// at any thread count (span events are the exception: protocol observers
-// are restricted to single-threaded engines, so record spans only when the
-// trace never needs to be compared across thread counts).
+// (notes made during node updates, in active-set order), then kNodeStep
+// activations in active-set order, then kWireSend records in staging
+// order, then any kInject records placed between this tick and the next.
+// The engine emits all of them sequentially after each tick's fork-join,
+// so the stream — span events included — is bit-identical at any thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,9 @@ struct TraceInjection {
   bool operator==(const TraceInjection&) const = default;
 };
 
-// Event constructors used by the recorder and the tests.
-TraceEvent make_root_event(const TranscriptEvent& ev);
-// Inverse of make_root_event; requires ev.kind == kRootEvent.
+// The transcript entry a kRootEvent record mirrors (the root's
+// GtdNote::kRootEvent note: a = kind, b = out port, c = in port); requires
+// ev.kind == kRootEvent.
 TranscriptEvent to_transcript_event(const TraceEvent& ev);
 
 // Rebuilds the root's transcript from a trace's kRootEvent records — the

@@ -56,6 +56,7 @@ class MachineHarness {
     ctx.next_stage_ = &stage_;
     scratch_.sched = sched_buf_.data();
     scratch_.sched_len = 0;
+    scratch_.notes.clear();
     ctx.scratch_ = &scratch_;
 
     machine_.step(ctx);

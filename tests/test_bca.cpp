@@ -8,7 +8,7 @@
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
-#include "trace/duration_observer.hpp"
+#include "span_run.hpp"
 
 namespace dtop {
 namespace {
@@ -16,12 +16,7 @@ namespace {
 TEST(Bca, EveryEdgeReturnsExactlyOnce) {
   const PortGraph g = random_strongly_connected(
       {.nodes = 13, .delta = 3, .avg_out_degree = 2.0, .seed = 31});
-  DurationObserver obs;
-  GtdOptions opt;
-  opt.observer = &obs;
-  const GtdResult r = run_gtd(g, 0, opt);
-  ASSERT_EQ(r.status, RunStatus::kTerminated);
-  EXPECT_EQ(obs.bca().size(), g.num_wires());
+  EXPECT_EQ(run_with_spans(g).spans.bca().size(), g.num_wires());
 }
 
 TEST(Bca, SelfLoopReturn) {
@@ -32,14 +27,11 @@ TEST(Bca, SelfLoopReturn) {
   g.connect(1, 0, 1, 1);  // self loop at node 1
   g.connect(1, 1, 2, 0);
   g.connect(2, 0, 0, 0);
-  DurationObserver obs;
-  GtdOptions opt;
-  opt.observer = &obs;
-  const GtdResult r = run_gtd(g, 0, opt);
-  ASSERT_EQ(r.status, RunStatus::kTerminated);
-  EXPECT_TRUE(verify_map(g, 0, r.map).ok);
-  EXPECT_TRUE(r.end_state_clean);
-  EXPECT_EQ(obs.bca().size(), g.num_wires());
+  const SpanRun run = run_with_spans(g);
+  ASSERT_EQ(run.result.status, RunStatus::kTerminated);
+  EXPECT_TRUE(verify_map(g, 0, run.result.map).ok);
+  EXPECT_TRUE(run.result.end_state_clean);
+  EXPECT_EQ(run.spans.bca().size(), g.num_wires());
 }
 
 TEST(Bca, DurationProportionalToReturnDistance) {
@@ -49,14 +41,11 @@ TEST(Bca, DurationProportionalToReturnDistance) {
   std::vector<double> means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = directed_ring(n);
-    DurationObserver obs;
-    GtdOptions opt;
-    opt.observer = &obs;
-    const GtdResult r = run_gtd(g, 0, opt);
-    ASSERT_EQ(r.status, RunStatus::kTerminated);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
+    ASSERT_FALSE(spans.bca().empty());
     double sum = 0;
-    for (const auto& s : obs.bca()) sum += static_cast<double>(s.duration());
-    means.push_back(sum / static_cast<double>(obs.bca().size()));
+    for (const auto& s : spans.bca()) sum += static_cast<double>(s.duration());
+    means.push_back(sum / static_cast<double>(spans.bca().size()));
   }
   EXPECT_NEAR(means[1] / means[0], 2.0, 0.4);
   EXPECT_NEAR(means[2] / means[1], 2.0, 0.4);
@@ -68,14 +57,11 @@ TEST(Bca, ShortcutEdgesMakeCheapReturns) {
   std::vector<double> means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = bidirectional_ring(n);
-    DurationObserver obs;
-    GtdOptions opt;
-    opt.observer = &obs;
-    const GtdResult r = run_gtd(g, 0, opt);
-    ASSERT_EQ(r.status, RunStatus::kTerminated);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
+    ASSERT_FALSE(spans.bca().empty());
     double sum = 0;
-    for (const auto& s : obs.bca()) sum += static_cast<double>(s.duration());
-    means.push_back(sum / static_cast<double>(obs.bca().size()));
+    for (const auto& s : spans.bca()) sum += static_cast<double>(s.duration());
+    means.push_back(sum / static_cast<double>(spans.bca().size()));
   }
   EXPECT_LT(means[2], means[0] * 1.5)
       << "BCA cost must depend on the loop, not on N";

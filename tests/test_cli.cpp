@@ -455,10 +455,9 @@ TEST(CliParse, TraceRejectsBadInvocations) {
   EXPECT_THROW(parse_trace_args({"record", "--family", "torus", "--out", "t",
                                  "--config", "ratio9"}),
                UsageError);
-  // --spans is single-threaded
-  EXPECT_THROW(parse_trace_args({"record", "--family", "torus", "--out", "t",
-                                 "--spans", "--threads", "2"}),
-               UsageError);
+  // --spans records at any thread count
+  EXPECT_NO_THROW(parse_trace_args({"record", "--family", "torus", "--out",
+                                    "t", "--spans", "--threads", "2"}));
   // inspect/replay need --trace, diff needs --a and --b
   EXPECT_THROW(parse_trace_args({"inspect"}), UsageError);
   EXPECT_THROW(parse_trace_args({"replay"}), UsageError);
@@ -798,6 +797,20 @@ TEST(CliMain, TraceSpliceReproducesTheDonorRun) {
   std::ostringstream rout, rerr;
   EXPECT_EQ(cli_main({"trace", "replay", "--trace", spliced}, rout, rerr), 0)
       << rerr.str();
+}
+
+TEST(CliMain, TraceSpliceKeepsSpanEvents) {
+  // Re-recording a --spans trace records its span events again: a
+  // whole-donor self-splice of the committed spans fixture is that file.
+  const std::string fixture = DTOP_TEST_DATA_DIR "/torus-9-spans.dtr2";
+  const std::string spliced = temp_path("spans-spliced.dtr2");
+  std::ostringstream out, err;
+  EXPECT_EQ(cli_main({"trace", "splice", "--trace", fixture, "--donor",
+                      fixture, "--codec", "dlz", "--out", spliced},
+                     out, err),
+            0)
+      << err.str();
+  EXPECT_TRUE(read_file(spliced) == read_file(fixture));
 }
 
 TEST(CliMain, TraceOverwriteSwapsTheInjections) {

@@ -416,5 +416,92 @@ TEST(EngineTraceSinkTest, SequentialAndParallelEnginesEmitIdenticalStreams) {
   EXPECT_EQ(logs[0], logs[1]);
 }
 
+// Notes its node id on every step; the nodes named in the config throw
+// right after noting.
+class NoteMachine {
+ public:
+  using Message = HopMessage;
+  struct Config {
+    NodeId fail_a = kNoNode, fail_b = kNoNode;
+  };
+
+  NoteMachine(const MachineEnv& env, const Config& cfg)
+      : env_(env), cfg_(cfg) {}
+
+  void step(StepContext<Message>& ctx) {
+    ctx.note({0, 0, 0, env_.debug_id});
+    if (env_.debug_id == cfg_.fail_a || env_.debug_id == cfg_.fail_b)
+      throw Error("fail " + std::to_string(env_.debug_id));
+  }
+  bool idle() const { return true; }
+  bool terminated() const { return false; }
+
+ private:
+  MachineEnv env_;
+  Config cfg_;
+};
+
+class NoteSink : public EngineTraceSink<HopMessage> {
+ public:
+  void on_schedule(Tick, NodeId) override {}
+  void on_note(Tick tick, const StepNote& n) override {
+    log.push_back("note@" + std::to_string(tick) + " n" +
+                  std::to_string(n.a));
+  }
+  void on_step(Tick tick, NodeId v) override {
+    log.push_back("step@" + std::to_string(tick) + " n" + std::to_string(v));
+  }
+  void on_send(Tick, WireId, const HopMessage&) override {}
+  void on_inject(Tick, WireId, const HopMessage&, bool) override {}
+  std::vector<std::string> log;
+};
+
+TEST(EngineTraceSinkTest, NotesPrecedeStepsInActiveOrderAtAnyThreadCount) {
+  const PortGraph g = directed_ring(16);
+  for (const int threads : {1, 4}) {
+    EngineOptions opt;
+    opt.num_threads = threads;
+    opt.parallel_grain = 1;  // 16 active nodes fork across the pool
+    SyncEngine<NoteMachine> e(g, 0, {}, opt);
+    NoteSink sink;
+    e.set_trace_sink(&sink);
+    for (NodeId v = g.num_nodes(); v-- > 0;) e.schedule(v);
+    e.step();
+    std::vector<std::string> expected;
+    for (const char* what : {"note@1 n", "step@1 n"}) {
+      for (NodeId v = g.num_nodes(); v-- > 0;)
+        expected.push_back(what + std::to_string(v));
+    }
+    EXPECT_EQ(sink.log, expected) << threads << " threads";
+  }
+}
+
+TEST(EngineTraceSinkTest, FailingTickForwardsTheNotesBeforeTheFirstFailure) {
+  // Nodes 6 and 13 throw, in different workers' chunks at 4 threads. The
+  // tick must rethrow node 6's error after forwarding the notes of nodes
+  // 0..6 — what a sequential scan makes before it stops — and no steps.
+  const PortGraph g = directed_ring(16);
+  for (const int threads : {1, 4}) {
+    EngineOptions opt;
+    opt.num_threads = threads;
+    opt.parallel_grain = 1;
+    SyncEngine<NoteMachine> e(g, 0, NoteMachine::Config{6, 13}, opt);
+    NoteSink sink;
+    e.set_trace_sink(&sink);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) e.schedule(v);
+    std::string what;
+    try {
+      e.step();
+    } catch (const Error& err) {
+      what = err.what();
+    }
+    EXPECT_NE(what.find("fail 6"), std::string::npos) << what;
+    std::vector<std::string> expected;
+    for (NodeId v = 0; v <= 6; ++v)
+      expected.push_back("note@1 n" + std::to_string(v));
+    EXPECT_EQ(sink.log, expected) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace dtop

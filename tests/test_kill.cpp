@@ -10,7 +10,7 @@
 #include "core/gtd.hpp"
 #include "core/verify.hpp"
 #include "graph/families.hpp"
-#include "trace/duration_observer.hpp"
+#include "span_run.hpp"
 
 namespace dtop {
 namespace {
@@ -64,15 +64,11 @@ TEST(Kill, StragglerReErasureActuallyHappens) {
   bool double_erasure_seen = false;
   for (int chord_from : {4, 5, 6, 7}) {
     const PortGraph g = zombie_graph(14, chord_from, 2);
-    DurationObserver obs;
-    GtdOptions opt;
-    opt.observer = &obs;
-    const GtdResult r = run_gtd(g, 0, opt);
-    ASSERT_EQ(r.status, RunStatus::kTerminated);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
     // Group non-BCA erasures by RCA span and node.
-    for (const auto& span : obs.rca()) {
+    for (const auto& span : spans.rca()) {
       std::map<NodeId, int> per_node;
-      for (const auto& er : obs.erasures()) {
+      for (const auto& er : spans.erasures()) {
         if (er.bca_lane) continue;
         if (er.tick >= span.start && er.tick <= span.end)
           ++per_node[er.node];
@@ -125,9 +121,7 @@ TEST(Kill, KillExtinctionWithinLoopTraversal) {
   cfg.transcript = &transcript;
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
-  DurationObserver obs;
-  // Hook the observer in via config? The engine is already built; use the
-  // post-tick audit instead: when the previous RCA just ended (some node's
+  // Post-tick audit: when the previous RCA just ended (some node's
   // rca_phase returned to idle this tick), growing chars must be gone.
   bool violation = false;
   std::vector<RcaPhase> prev(g.num_nodes(), RcaPhase::kIdle);

@@ -2,6 +2,8 @@
 // determinism claim of DESIGN.md S2), on the real protocol.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -12,7 +14,7 @@
 #include "obs/engine_metrics.hpp"
 #include "obs/registry.hpp"
 #include "trace/container.hpp"
-#include "trace/duration_observer.hpp"
+#include "trace/span_collector.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dtop {
@@ -77,13 +79,44 @@ TEST(ParallelEngine, ManyThreadsMoreThanNodes) {
   EXPECT_TRUE(verify_map(g, 0, r.map).ok);
 }
 
-TEST(ParallelEngine, ObserverRequiresSingleThread) {
-  const PortGraph g = directed_ring(3);
-  DurationObserver obs;
-  GtdOptions opt;
-  opt.observer = &obs;
-  opt.num_threads = 2;
-  EXPECT_THROW(run_gtd(g, 0, opt), Error);
+// The committed --spans recording of torus-9, made with `dtopctl trace
+// record --family torus --nodes 9 --spans --codec dlz`. Span events travel
+// through the engine's per-worker note lists, so every thread count must
+// write this very file — also when grain 1 forks every tick with >= 2
+// active nodes.
+TEST(ParallelEngine, SpanTraceMatchesFixtureAtAnyThreadCount) {
+  std::ifstream in(DTOP_TEST_DATA_DIR "/torus-9-spans.dtr2", std::ios::binary);
+  ASSERT_TRUE(in.is_open());
+  const std::string fixture((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  ASSERT_EQ(fixture.size(), 32440u);
+  std::istringstream fs(fixture);
+  const trace::RecordedTrace golden = trace::read_trace(fs);
+  EXPECT_EQ(golden.events.size(), 15703u);
+  const trace::SpanCollector spans = trace::collect_spans(golden.events);
+  EXPECT_EQ(spans.rca().size(), 32u);
+  EXPECT_EQ(spans.erasures().size(), 466u);
+
+  const PortGraph g = directed_torus(3, 3);
+  for (const int threads : {1, 2, 8}) {
+    obs::Registry registry;
+    const obs::EngineMetrics metrics = obs::EngineMetrics::create(registry);
+    trace::TraceRecorder rec;
+    GtdOptions opt;
+    opt.num_threads = threads;
+    opt.parallel_grain = 1;
+    opt.trace = &rec;
+    opt.spans = true;
+    opt.metrics = &metrics;
+    ASSERT_EQ(run_gtd(g, 0, opt).status, RunStatus::kTerminated);
+    if (threads > 1) {
+      EXPECT_GT(metrics.forked_ticks->total(), 0u) << threads << " threads";
+    }
+    std::ostringstream os;
+    trace::write_trace_dtr2(os, rec.take(),
+                            trace::Dtr2Options{trace::TraceCodec::kDlz});
+    EXPECT_TRUE(os.str() == fixture) << threads << " threads";
+  }
 }
 
 // DTR2 bytes of a full recording at `threads` engine threads; `grain` is

@@ -8,18 +8,10 @@
 #include "graph/canonical.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
-#include "trace/duration_observer.hpp"
+#include "span_run.hpp"
 
 namespace dtop {
 namespace {
-
-GtdResult run_with(const PortGraph& g, NodeId root, DurationObserver& obs) {
-  GtdOptions opt;
-  opt.observer = &obs;
-  GtdResult r = run_gtd(g, root, opt);
-  EXPECT_EQ(r.status, RunStatus::kTerminated);
-  return r;
-}
 
 TEST(Rca, CountsMatchEdgeAccounting) {
   // Every edge is traversed forward exactly once. Each forward traversal
@@ -27,29 +19,27 @@ TEST(Rca, CountsMatchEdgeAccounting) {
   // non-root node triggers a BACK RCA; each return is one BCA. The root's
   // own records are piped without network RCAs.
   const PortGraph g = de_bruijn(3);
-  DurationObserver obs;
-  const GtdResult r = run_with(g, 0, obs);
+  const SpanRun run = run_with_spans(g);
   const std::size_t e = g.num_wires();
   const auto in_root = static_cast<std::size_t>(g.in_degree(0));
   const auto out_root = static_cast<std::size_t>(g.out_degree(0));
-  EXPECT_EQ(obs.bca().size(), e);
-  EXPECT_EQ(obs.rca().size(), 2 * e - in_root - out_root);
+  EXPECT_EQ(run.spans.bca().size(), e);
+  EXPECT_EQ(run.spans.rca().size(), 2 * e - in_root - out_root);
   // Transcript records cover all traversals, self or not.
-  EXPECT_EQ(r.records.size(), 2 * e);
+  EXPECT_EQ(run.result.records.size(), 2 * e);
 }
 
 TEST(Rca, SerializationNeverOverlaps) {
-  // DurationObserver throws on overlap; surviving the run is the assertion.
+  // SpanCollector throws on overlap; surviving the run is the assertion.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const PortGraph g = random_strongly_connected(
         {.nodes = 14, .delta = 3, .avg_out_degree = 2.0, .seed = seed});
-    DurationObserver obs;
-    run_with(g, 0, obs);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
     // Spans must be disjoint and ordered.
-    for (std::size_t i = 1; i < obs.rca().size(); ++i)
-      EXPECT_GE(obs.rca()[i].start, obs.rca()[i - 1].end);
-    for (std::size_t i = 1; i < obs.bca().size(); ++i)
-      EXPECT_GE(obs.bca()[i].start, obs.bca()[i - 1].end);
+    for (std::size_t i = 1; i < spans.rca().size(); ++i)
+      EXPECT_GE(spans.rca()[i].start, spans.rca()[i - 1].end);
+    for (std::size_t i = 1; i < spans.bca().size(); ++i)
+      EXPECT_GE(spans.bca()[i].start, spans.bca()[i - 1].end);
   }
 }
 
@@ -60,16 +50,15 @@ TEST(Rca, DurationProportionalToLoopLength) {
   std::vector<double> sizes, means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = directed_ring(n);
-    DurationObserver obs;
-    run_with(g, 0, obs);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
     double sum = 0, mn = 1e18, mx = 0;
-    for (const auto& s : obs.rca()) {
+    for (const auto& s : spans.rca()) {
       const double d = static_cast<double>(s.duration());
       sum += d;
       mn = std::min(mn, d);
       mx = std::max(mx, d);
     }
-    const double mean = sum / static_cast<double>(obs.rca().size());
+    const double mean = sum / static_cast<double>(spans.rca().size());
     // All loops equal => tight spread.
     EXPECT_LT(mx - mn, 0.35 * mean + 8.0) << "n=" << n;
     sizes.push_back(static_cast<double>(n));
@@ -81,31 +70,6 @@ TEST(Rca, DurationProportionalToLoopLength) {
   EXPECT_NEAR(ratio1, 2.0, 0.4);
   EXPECT_NEAR(ratio2, 2.0, 0.4);
 }
-
-// Collects the per-phase timestamps of every RCA.
-class PhaseObserver : public DurationObserver {
- public:
-  struct Phases {
-    Tick start = 0, og_head = 0, odt = 0, token_back = 0, done = 0;
-  };
-  void on_rca_start(NodeId n, Tick t, bool fwd) override {
-    DurationObserver::on_rca_start(n, t, fwd);
-    phases_.push_back(Phases{t, 0, 0, 0, 0});
-  }
-  void on_rca_phase(NodeId, Tick t, RcaPhase p) override {
-    if (p == RcaPhase::kWaitOdt) phases_.back().og_head = t;
-    if (p == RcaPhase::kWaitToken) phases_.back().odt = t;
-    if (p == RcaPhase::kWaitUnmark) phases_.back().token_back = t;
-  }
-  void on_rca_complete(NodeId n, Tick t) override {
-    DurationObserver::on_rca_complete(n, t);
-    phases_.back().done = t;
-  }
-  const std::vector<Phases>& phases() const { return phases_; }
-
- private:
-  std::vector<Phases> phases_;
-};
 
 TEST(Rca, PhaseDecompositionClosedFormOnRings) {
   // On a directed N-ring every RCA loop has length L = N and the protocol
@@ -119,18 +83,15 @@ TEST(Rca, PhaseDecompositionClosedFormOnRings) {
   //   total                         11L - 3
   for (NodeId n : {4u, 6u, 9u}) {
     const PortGraph g = directed_ring(n);
-    PhaseObserver obs;
-    GtdOptions opt;
-    opt.observer = &obs;
-    const GtdResult r = run_gtd(g, 0, opt);
-    ASSERT_EQ(r.status, RunStatus::kTerminated);
+    const trace::SpanCollector spans = run_with_spans(g).spans;
+    ASSERT_FALSE(spans.rca().empty());
     const Tick L = n;
-    for (const auto& ph : obs.phases()) {
+    for (const auto& ph : spans.rca()) {
       EXPECT_EQ(ph.og_head - ph.start, 3 * L - 2) << "floods, N=" << n;
       EXPECT_EQ(ph.odt - ph.og_head, 4 * L) << "marking, N=" << n;
       EXPECT_EQ(ph.token_back - ph.odt, 3 * L - 2) << "token, N=" << n;
-      EXPECT_EQ(ph.done - ph.token_back, L + 1) << "unmark, N=" << n;
-      EXPECT_EQ(ph.done - ph.start, 11 * L - 3) << "total, N=" << n;
+      EXPECT_EQ(ph.end - ph.token_back, L + 1) << "unmark, N=" << n;
+      EXPECT_EQ(ph.end - ph.start, 11 * L - 3) << "total, N=" << n;
     }
   }
 }

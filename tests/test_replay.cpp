@@ -135,33 +135,44 @@ TEST(Replay, ReproducesInjectedFaultRuns) {
 TEST(Replay, ReproducesViolationTraces) {
   // A rogue UNMARK kills the run with a protocol violation; the partial
   // trace (no run-end record) must replay cleanly — the replay reproduces
-  // the violation rather than outliving the recording.
+  // the violation rather than outliving the recording. A failing tick
+  // keeps the notes of the nodes stepped before the failure in active
+  // order, so the partial trace is the same at 4 threads with every
+  // multi-node tick forked.
   const PortGraph g = directed_ring(5);
-  trace::TraceRecorder rec;
-  GtdOptions opt;
-  opt.trace = &rec;
-  Character rogue;
-  rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
-  opt.injections.push_back(trace::TraceInjection{3, g.out_wire(3, 0), rogue});
-  EXPECT_THROW(run_gtd(g, 0, opt), Error);
-
-  const trace::RecordedTrace t = rec.take();
+  const auto record = [&](int threads) {
+    trace::TraceRecorder rec;
+    GtdOptions opt;
+    opt.num_threads = threads;
+    opt.parallel_grain = 1;
+    opt.trace = &rec;
+    Character rogue;
+    rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+    opt.injections.push_back(
+        trace::TraceInjection{3, g.out_wire(3, 0), rogue});
+    EXPECT_THROW(run_gtd(g, 0, opt), Error);
+    return rec.take();
+  };
+  const trace::RecordedTrace t = record(1);
   ASSERT_FALSE(t.events.empty());
   EXPECT_NE(t.events.back().kind, trace::TraceEventKind::kRunEnd);
+  EXPECT_EQ(serialize(record(4)), serialize(t));
 
-  const ReplayResult r = replay_gtd(t);
-  EXPECT_TRUE(r.ok) << r.detail;
+  for (const int threads : {1, 4}) {
+    const ReplayResult r = replay_gtd(t, threads);
+    EXPECT_TRUE(r.ok) << threads << " threads: " << r.detail;
+  }
 }
 
 TEST(Replay, ReplaysSpanTracesByAttachingTheObserverFacet) {
   // A --spans recording interleaves RCA/BCA span events; replay must
-  // attach the recorder as ProtoObserver too, or every span event would
-  // read as a divergence. Span traces are single-threaded by contract.
+  // record span events too, or every span event would read as a
+  // divergence. Span traces replay at any thread count.
   const PortGraph g = directed_ring(6);
   trace::TraceRecorder rec;
   GtdOptions opt;
   opt.trace = &rec;
-  opt.observer = &rec;
+  opt.spans = true;
   ASSERT_EQ(run_gtd(g, 0, opt).status, RunStatus::kTerminated);
   const trace::RecordedTrace t = rec.take();
 
@@ -171,9 +182,10 @@ TEST(Replay, ReplaysSpanTracesByAttachingTheObserverFacet) {
   }
   ASSERT_TRUE(has_span);
 
-  const ReplayResult r = replay_gtd(t, 1);
-  EXPECT_TRUE(r.ok) << r.detail;
-  EXPECT_THROW(replay_gtd(t, 8), Error);  // observers are single-threaded
+  for (const int threads : {1, 8}) {
+    const ReplayResult r = replay_gtd(t, threads);
+    EXPECT_TRUE(r.ok) << threads << " threads: " << r.detail;
+  }
 }
 
 TEST(Replay, CatchesCodeBehaviourViaConfigMismatch) {

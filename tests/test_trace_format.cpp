@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 
+#include "core/gtd.hpp"
 #include "graph/families.hpp"
 #include "support/frame.hpp"
 #include "trace/container.hpp"
@@ -400,12 +401,16 @@ TEST(TraceDiffTest, HeaderMismatchIsFlagged) {
 }
 
 TEST(TraceEventTest, TranscriptEventsRoundTrip) {
-  TranscriptEvent tev;
-  tev.kind = TranscriptEvent::Kind::kUpStep;
-  tev.tick = 42;
-  tev.out = 1;
-  tev.in = 0;
-  EXPECT_EQ(to_transcript_event(make_root_event(tev)), tev);
+  // The root notes each transcript entry it emits; the recorded kRootEvent
+  // records decode back to the very transcript the run built.
+  const PortGraph g = directed_ring(4);
+  TraceRecorder rec;
+  GtdOptions opt;
+  opt.trace = &rec;
+  const GtdResult r = run_gtd(g, 0, opt);
+  ASSERT_FALSE(r.transcript.events().empty());
+  EXPECT_EQ(transcript_from_trace(rec.events()).events(),
+            r.transcript.events());
 }
 
 }  // namespace
