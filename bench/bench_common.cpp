@@ -71,11 +71,6 @@ int bench_threads() {
   return v >= 1 ? static_cast<int>(v) : 1;
 }
 
-bool bench_pin() {
-  const char* env = std::getenv("DTOP_BENCH_PIN");
-  return env && *env;
-}
-
 namespace {
 
 // A table cell that fully parses as a double is emitted as a JSON number;

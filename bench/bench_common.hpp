@@ -1,8 +1,8 @@
 // Shared helpers for the experiment harness. Each bench binary regenerates
-// one experiment from EXPERIMENTS.md: it prints the paper-style table on
-// stdout and (where useful) registers google-benchmark timings. The tables
-// are computed from *model time* (global clock ticks), which is exact and
-// machine-independent; google-benchmark covers wall-clock throughput.
+// one experiment from EXPERIMENTS.md: it prints the paper-style tables on
+// stdout and writes them as BENCH_<exp>.json. E1–E9 are computed from
+// *model time* (global clock ticks), which is exact and machine-independent;
+// E10 is the one wall-clock experiment.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +50,12 @@ std::vector<runner::JobResult> run_family_sweep(
 // to trim the sweep so the JSON artifacts stay cheap to regenerate.
 std::vector<NodeId> default_sizes();
 
-// Engine thread count for wall-clock benches (E8/E10 single-workload rows):
+// Engine thread count for E10's single-workload wall-clock rows:
 // the --threads value dtopctl bench forwards via DTOP_BENCH_THREADS, else
 // the env var directly, else 1. Committed baselines are recorded at the
 // default so rows stay comparable across boxes; the knob exists to
 // reproduce any row at a chosen thread count. Clamped to >= 1.
 int bench_threads();
-
-// True when DTOP_BENCH_PIN is set non-empty: wall-clock benches construct
-// their engines with pin_threads (best-effort CPU affinity).
-bool bench_pin();
 
 // Machine-readable companion to the printed tables: accumulates an
 // experiment's tables and writes them as BENCH_<exp>.json — the same

@@ -112,13 +112,6 @@ WindowSample time_window(Engine& engine, Tick warmup, Tick window) {
   return s;
 }
 
-EngineOptions bench_engine_options(int threads) {
-  EngineOptions opt;
-  opt.num_threads = threads;
-  opt.pin_threads = bench_pin();
-  return opt;
-}
-
 void add_row(Table& table, const std::string& label, const PortGraph& g,
              const WindowSample& s) {
   const double secs = s.wall_ms / 1e3;
@@ -157,7 +150,7 @@ Table walltime_table(bool quick) {
   if (!quick) ks.push_back(20);
   for (const int k : ks) {
     const PortGraph g = de_bruijn(k);
-    FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+    FloodEngine engine(g, 0, {}, threads);
     const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
     add_row(table, "flood-debruijn-" + std::to_string(g.num_nodes()), g, s);
   }
@@ -166,7 +159,7 @@ Table walltime_table(bool quick) {
   // engine overhead rather than per-node throughput.
   {
     const PortGraph g = directed_ring(4096);
-    FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+    FloodEngine engine(g, 0, {}, threads);
     const WindowSample s =
         time_window(engine, /*warmup=*/64, /*window=*/2048);
     add_row(table, "flood-ring-4096", g, s);
@@ -182,7 +175,7 @@ Table walltime_table(bool quick) {
     Transcript t;
     GtdMachine::Config cfg;
     cfg.transcript = &t;
-    GtdEngine engine(g, 0, cfg, bench_engine_options(threads));
+    GtdEngine engine(g, 0, cfg, threads);
     const WindowSample s =
         time_window(engine, /*warmup=*/2048, /*window=*/256);
     add_row(table, "gtd-debruijn-" + std::to_string(g.num_nodes()), g, s);
@@ -204,7 +197,7 @@ Table thread_scaling_table(bool quick) {
     const std::string label = "flood-debruijn-" + std::to_string(g.num_nodes());
     double wall_1 = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
-      FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+      FloodEngine engine(g, 0, {}, threads);
       const WindowSample s =
           time_window(engine, /*warmup=*/64, /*window=*/64);
       if (threads == 1) wall_1 = s.wall_ms;
@@ -240,7 +233,8 @@ Table metrics_overhead_table() {
   obs::Registry registry;
   const obs::EngineMetrics hook = obs::EngineMetrics::create(registry);
   for (const bool with_metrics : {false, true}) {
-    EngineOptions opt = bench_engine_options(bench_threads());
+    EngineOptions opt;
+    opt.num_threads = bench_threads();
     if (with_metrics) opt.metrics = &hook;
     FloodEngine engine(g, 0, {}, opt);
     const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
@@ -272,7 +266,8 @@ Table calibration_table() {
   const std::string label = "flood-debruijn-" + std::to_string(g.num_nodes());
   for (const std::size_t grain : {std::size_t{32}, std::size_t{96},
                                   std::size_t{256}, std::size_t{1024}}) {
-    EngineOptions opt = bench_engine_options(2);
+    EngineOptions opt;
+    opt.num_threads = 2;
     opt.parallel_grain = grain;
     FloodEngine engine(g, 0, {}, opt);
     const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);

@@ -4,8 +4,6 @@
 // We record every RCA's duration during full protocol runs, bucket them by
 // the initiator's true loop length, and fit duration = a * loop + b. A tight
 // linear fit (R^2 ~ 1) with a family-independent slope reproduces the lemma.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
@@ -125,21 +123,9 @@ void print_table() {
                "~1/hop for the UNMARK.\n";
 }
 
-void BM_SingleRcaCost(benchmark::State& state) {
-  // Wall time of a full run dominated by RCAs on a ring of the given size.
-  const PortGraph g = directed_ring(static_cast<NodeId>(state.range(0)));
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.ticks);
-  }
-}
-BENCHMARK(BM_SingleRcaCost)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // The BCA reverses an edge A -> B via the loop B -> ... -> A -> B of length
 // d(B, A) + 1. We record every BCA's duration during full runs and fit it
 // against that loop length per workload.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -85,20 +83,9 @@ void print_table() {
                "Section 4.1.\n";
 }
 
-void BM_BcaHeavyWorkload(benchmark::State& state) {
-  const PortGraph g = bidirectional_ring(static_cast<NodeId>(state.range(0)));
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.ticks);
-  }
-}
-BENCHMARK(BM_BcaHeavyWorkload)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // tick; the margin (completion - last erasure) must be positive. We also
 // count straggler re-erasures (the zombie chase of DESIGN.md 3b) to show the
 // mechanism is live, and audit end-of-run pristineness.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
@@ -77,20 +75,9 @@ void print_table() {
                "code path, not dead defensive logic.\n";
 }
 
-void BM_CleanupDominatedRun(benchmark::State& state) {
-  const PortGraph g = tree_loop_random(static_cast<int>(state.range(0)), 3);
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.messages);
-  }
-}
-BENCHMARK(BM_CleanupDominatedRun)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // O(E) RCAs overall. We tabulate characters per family and fit the growth
 // exponent against E*N*D to document the traffic cost of finite-state
 // mapping.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
@@ -63,21 +61,9 @@ void print_table() {
                "constant-size messages; compare E7 for the baselines.\n";
 }
 
-void BM_MessageThroughput(benchmark::State& state) {
-  const PortGraph g = de_bruijn(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.messages);
-    state.counters["chars"] = static_cast<double>(r.stats.messages);
-  }
-}
-BENCHMARK(BM_MessageThroughput)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,11 +2,11 @@
 //
 // The paper's complexity measure is global clock ticks, which our lockstep
 // engine reproduces exactly and deterministically at any thread count
-// (tested). This bench reports the wall-clock throughput of the engine —
-// ticks/second and node-updates/second — sequential vs BSP-parallel, so the
-// simulation cost of every other experiment is on the record.
-#include <benchmark/benchmark.h>
-
+// (tested). This bench records the exact tick, message and node-step counts
+// of the engine's substrate workloads (a full de Bruijn run, sparse ring
+// runs and a truncated dense flood), so the simulation work behind every
+// other experiment is on the record. Wall-clock engine throughput,
+// sequential vs parallel, is E10's thread_scaling table.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,89 +16,15 @@ namespace {
 using namespace dtop;
 using namespace dtop::bench;
 
-// The standard 1/2/4 ladder, plus DTOP_BENCH_THREADS when it names a count
-// not already on the ladder — so any row of the committed tables can be
-// reproduced at an arbitrary thread count without editing this file.
-void thread_args(benchmark::internal::Benchmark* b) {
-  b->Arg(1)->Arg(2)->Arg(4);
-  const int t = bench_threads();
-  if (t != 1 && t != 2 && t != 4) b->Arg(t);
-}
-
-void BM_EngineThroughput(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const PortGraph g = de_bruijn(6);  // 64 nodes, 128 wires
-  std::uint64_t ticks = 0, steps = 0;
-  for (auto _ : state) {
-    GtdOptions opt;
-    opt.num_threads = threads;
-    opt.pin_threads = bench_pin();
-    GtdResult r = run_gtd(g, 0, opt);
-    benchmark::DoNotOptimize(r.stats.ticks);
-    ticks += static_cast<std::uint64_t>(r.stats.ticks);
-    steps += r.stats.node_steps;
-  }
-  state.counters["ticks/s"] = benchmark::Counter(
-      static_cast<double>(ticks), benchmark::Counter::kIsRate);
-  state.counters["node_steps/s"] = benchmark::Counter(
-      static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineThroughput)
-    ->Apply(thread_args)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_EngineDenseActiveSet(benchmark::State& state) {
-  // A workload where nearly all nodes are active every tick (large CCC
-  // during snake floods) — the best case for the BSP engine.
-  const int threads = static_cast<int>(state.range(0));
-  const PortGraph g = cube_connected_cycles(5);  // 160 nodes, degree 3
-  for (auto _ : state) {
-    GtdOptions opt;
-    opt.num_threads = threads;
-    opt.max_ticks = 20000;  // truncated run: throughput sample, not a map
-    opt.audit_end_state = false;
-    Transcript t;
-    GtdMachine::Config cfg;
-    cfg.protocol = opt.protocol;
-    cfg.transcript = &t;
-    EngineOptions eopt;
-    eopt.num_threads = threads;
-    eopt.pin_threads = bench_pin();
-    GtdEngine engine(g, 0, cfg, eopt);
-    engine.schedule(0);
-    engine.run(opt.max_ticks);
-    benchmark::DoNotOptimize(engine.stats().node_steps);
-  }
-}
-BENCHMARK(BM_EngineDenseActiveSet)
-    ->Apply(thread_args)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_ActiveSetScheduling(benchmark::State& state) {
-  // Sparse activity (ring DFS): the active-set scheduler should keep cost
-  // per tick near O(active), not O(N).
-  const PortGraph g = directed_ring(static_cast<NodeId>(state.range(0)));
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.node_steps);
-    state.counters["avg_active"] = r.stats.avg_active();
-  }
-}
-BENCHMARK(BM_ActiveSetScheduling)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void print_header() {
-  std::cout << "E8: engine throughput (wall clock). Model time is exact and "
-               "thread-count-invariant; see ParallelEngine tests. Counters "
-               "report simulation rates.\n";
+  std::cout << "E8: engine substrate workloads. Model time is exact and "
+               "thread-count-invariant; see ParallelEngine tests. Wall-clock "
+               "throughput is E10's.\n";
 }
 
-// The model-time companion to the wall-clock timings above: the exact
-// tick/message/step counts of the three engine workloads this bench
-// exercises. These are deterministic functions of the model (the wall-clock
-// counters are not), so they feed BENCH_E8.json and the committed baseline
-// the bench-json CI job diffs at tolerance 0.
+// The exact tick/message/step counts of the engine workloads. These are
+// deterministic functions of the model, so they feed BENCH_E8.json and the
+// committed baseline the bench-json CI job diffs at tolerance 0.
 void print_model_time_table(BenchJson& json) {
   Table table({"workload", "N", "D", "E", "ticks", "messages", "node_steps",
                "avg_active"});
@@ -122,9 +48,9 @@ void print_model_time_table(BenchJson& json) {
         .cell(run.result.stats.avg_active(), 3);
   }
 
-  // The dense-active-set workload (BM_EngineDenseActiveSet's): a truncated
-  // ccc-160 flood — a throughput sample, not a map, so its row reports the
-  // engine stats at the 20000-tick cutoff.
+  // The dense-active-set workload, where nearly all nodes are active every
+  // tick: a truncated ccc-160 flood — a throughput sample, not a map, so
+  // its row reports the engine stats at the 20000-tick cutoff.
   {
     const PortGraph g = cube_connected_cycles(5);
     GtdMachine::Config cfg;
@@ -150,12 +76,10 @@ void print_model_time_table(BenchJson& json) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_header();
   dtop::bench::BenchJson json("E8");
   print_model_time_table(json);
   json.write(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

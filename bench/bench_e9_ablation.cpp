@@ -9,8 +9,6 @@
 // reference; snake_delay=1 (ratio 2) still chases stragglers with zero
 // margin; snake_delay=0 (ratio 1) breaks — and must be *detected*, never
 // silent.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -120,26 +118,9 @@ void print_table() {
          "watchdog.\n";
 }
 
-void BM_AblationReferenceRun(benchmark::State& state) {
-  const PortGraph g = de_bruijn(5);
-  GtdOptions opt;
-  opt.protocol.snake_delay = static_cast<int>(state.range(0));
-  opt.protocol.loop_delay = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    try {
-      GtdResult r = run_gtd(g, 0, opt);
-      benchmark::DoNotOptimize(r.stats.ticks);
-    } catch (const Error&) {
-    }
-  }
-}
-BENCHMARK(BM_AblationReferenceRun)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

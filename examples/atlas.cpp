@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   if (argc < 3) {
     std::cerr << "usage: atlas <family> <size_hint> [seed] [--dot FILE] "
-                 "[--graph FILE]\nfamilies:";
+                 "[--graph FILE] [--map FILE] [--trace N]\nfamilies:";
     for (const auto& f : family_names()) std::cerr << " " << f;
     std::cerr << "\n";
     return 2;

@@ -90,8 +90,6 @@ RunOptions parse_run_args(const std::vector<std::string>& args) {
     } else if (f == "--threads") {
       opt.threads = parse_int_as<int>(f, w.value());
       if (opt.threads < 1) throw UsageError("--threads must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else if (f == "--max-ticks") {
       opt.max_ticks = parse_int_as<std::int64_t>(f, w.value());
     } else if (f == "--verify") {
@@ -178,8 +176,6 @@ BenchOptions parse_bench_args(const std::vector<std::string>& args) {
     } else if (f == "--threads") {
       opt.threads = parse_int_as<int>(f, w.value());
       if (opt.threads < 1) throw UsageError("--threads must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else {
       throw UsageError("unknown flag '" + f + "' for 'bench'");
     }
@@ -215,7 +211,6 @@ int run_command(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
   GtdOptions gopt;
   gopt.num_threads = opt.threads;
-  gopt.pin_threads = opt.pin;
   gopt.max_ticks = opt.max_ticks;
   const GtdResult result = run_gtd(g, opt.root, gopt);
   if (result.status != RunStatus::kTerminated) {
@@ -318,7 +313,6 @@ int bench_command(const BenchOptions& opt, std::ostream& out,
       // Flag beats DTOP_BENCH_THREADS beats 1 — the same resolution the
       // bench binaries use, so a table row is reproducible either way.
       gopt.num_threads = opt.threads > 0 ? opt.threads : env_bench_threads();
-      gopt.pin_threads = opt.pin;
       const GtdResult result = run_gtd(fi.graph, /*root=*/0, gopt);
       if (result.status != RunStatus::kTerminated ||
           !verify_map(fi.graph, 0, result.map).ok) {
@@ -353,17 +347,17 @@ std::string usage_text() {
       "\n"
       "Usage:\n"
       "  dtopctl run    (--family NAME --nodes N | --graph FILE) [--seed S]\n"
-      "                 [--root R] [--threads T] [--pin] [--max-ticks T]\n"
+      "                 [--root R] [--threads T] [--max-ticks T]\n"
       "                 [--verify] [--map-out FILE] [--quiet]\n"
       "  dtopctl gen    --family NAME --nodes N [--seed S] [--out FILE] [--dot]\n"
       "                 [--permute SEED]\n"
       "  dtopctl verify --graph FILE --map FILE [--root R]\n"
       "  dtopctl bench  [--families a,b,...] [--sizes n1,n2,...] [--seed S]\n"
-      "                 [--threads T] [--pin]\n"
+      "                 [--threads T]\n"
       "  dtopctl sweep  [--spec FILE] [--families a,b,...] [--sizes LIST]\n"
       "                 [--seeds LIST] [--configs ratio1..ratio4]\n"
       "                 [--scenarios none,budget@T,kill@T,unmark@T,dfs@T]\n"
-      "                 [--root R] [--max-ticks T] [--threads T] [--pin]\n"
+      "                 [--root R] [--max-ticks T] [--threads T]\n"
       "                 [--format table|json|csv] [--out FILE] [--timing]\n"
       "                 [--quiet] [--trace-dir DIR] [--cluster SOCKS]\n"
       "  dtopctl trace  record  (--family NAME --nodes N | --graph FILE)\n"
@@ -382,12 +376,12 @@ std::string usage_text() {
       "                 [--seed S] [range flags] [--codec C]\n"
       "  dtopctl trace  corpus  --dir DIR\n"
       "  dtopctl serve  (--socket PATH | --listen HOST:PORT) [--workers N]\n"
-      "                 [--pin] [--cache N] [--cache-store FILE]\n"
+      "                 [--cache N] [--cache-store FILE]\n"
       "                 [--trace-dir DIR] [--quiet]\n"
       "  dtopctl client (--socket EP | --cluster EPS) [--request JSON]...\n"
       "                 [--in FILE] [--shutdown]\n"
       "  dtopctl cluster --shards N (--socket-dir DIR | --tcp-base PORT)\n"
-      "                 [--workers N] [--pin] [--cache N] [--cache-dir DIR]\n"
+      "                 [--workers N] [--cache N] [--cache-dir DIR]\n"
       "                 [--trace-dir DIR] [--max-restarts N] [--exe PATH]\n"
       "                 [--quiet]\n"
       "  dtopctl loadgen (--endpoint EP | --cluster EPS) [--concurrency C]\n"

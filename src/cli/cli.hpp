@@ -74,7 +74,6 @@ struct RunOptions {
   GraphSpec spec;
   NodeId root = 0;
   int threads = 1;
-  bool pin = false;            // pin engine pool workers (best-effort)
   std::int64_t max_ticks = 0;  // 0 = automatic budget
   bool verify = false;         // check the map against ground truth
   bool quiet = false;          // suppress the per-edge map listing
@@ -107,13 +106,11 @@ struct BenchOptions {
   // Engine threads per bench run: --threads beats DTOP_BENCH_THREADS beats
   // 1 (0 here = flag unset, resolve from the environment).
   int threads = 0;
-  bool pin = false;  // pin engine pool workers (best-effort)
 };
 
 struct SweepOptions {
   runner::CampaignSpec spec;
   int threads = 1;             // concurrent campaign jobs
-  bool pin = false;            // pin campaign workers (best-effort)
   std::string spec_file;       // --spec FILE ("-" = stdin); flags override it
   std::string format = "table";  // table | json | csv
   std::string out;             // empty or "-" = stdout
@@ -166,7 +163,6 @@ struct ServeOptions {
   std::string socket;      // --socket PATH (exactly one of --socket/--listen)
   std::string listen;      // --listen HOST:PORT (port 0 = pick a free port)
   int workers = 1;         // request-executing ThreadPool size
-  bool pin = false;        // pin request workers (best-effort)
   std::size_t cache = 64;  // result-cache capacity, in entries
   std::string cache_store; // --cache-store FILE: persistent warm-start store
   std::string trace_dir;   // capture failed requests here (existing dir)
@@ -188,7 +184,6 @@ struct ClusterOptions {
   // Unix sockets (socket_dir is then unused and may be empty). 0 = off.
   int tcp_base = 0;
   int workers = 1;          // per-shard request workers
-  bool pin = false;         // per-shard --pin (forwarded to the children)
   std::size_t cache = 64;   // per-shard result-cache capacity
   std::string cache_dir;    // per-shard stores DIR/shard-<i>.cache (created)
   std::string trace_dir;    // per-shard capture dirs DIR/shard-<i> (created)

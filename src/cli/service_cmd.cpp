@@ -28,8 +28,6 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     } else if (f == "--workers") {
       opt.workers = parse_int_as<int>(f, w.value());
       if (opt.workers < 1) throw UsageError("--workers must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else if (f == "--cache") {
       opt.cache = parse_int_as<std::uint32_t>(f, w.value());
       if (opt.cache < 1) throw UsageError("--cache must be >= 1 entry");
@@ -86,7 +84,6 @@ int serve_command(const ServeOptions& opt, std::ostream& out,
   sopt.socket_path = opt.socket;
   sopt.tcp = opt.listen;
   sopt.service.workers = opt.workers;
-  sopt.service.pin_workers = opt.pin;
   sopt.service.cache_capacity = opt.cache;
   sopt.service.cache_store = opt.cache_store;
   sopt.service.warn = &err;

@@ -97,8 +97,6 @@ SweepOptions parse_sweep_args(const std::vector<std::string>& args) {
     } else if (f == "--threads") {
       opt.threads = parse_int_as<int>(f, w.value());
       if (opt.threads < 1) throw UsageError("--threads must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else if (f == "--format") {
       opt.format = w.value();
       if (opt.format != "table" && opt.format != "json" &&
@@ -178,7 +176,6 @@ int sweep_command(const SweepOptions& opt, std::ostream& out,
                   std::ostream& err) {
   runner::RunnerOptions ropt;
   ropt.threads = opt.threads;
-  ropt.pin_workers = opt.pin;
   ropt.trace_dir = opt.trace_dir;
 
   // --cluster: the same campaign, executed remotely. Each job travels as a

@@ -44,7 +44,6 @@ GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   EngineOptions eopt;
   eopt.num_threads = opt.num_threads;
   eopt.arena = opt.arena;
-  eopt.pin_threads = opt.pin_threads;
   eopt.parallel_grain = opt.parallel_grain;
   eopt.metrics = opt.metrics;
   eopt.metrics_shard = opt.metrics_shard;

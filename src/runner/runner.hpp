@@ -64,10 +64,6 @@ struct CampaignResult {
 
 struct RunnerOptions {
   int threads = 1;  // concurrent jobs; each job's engine stays sequential
-  // Pin the campaign workers to distinct CPUs (best-effort; see
-  // support/affinity.hpp). Jobs stay sequential either way — this only
-  // stops the OS migrating workers mid-campaign.
-  bool pin_workers = false;
   // Invoked (serialized) as each job finishes, in completion order:
   // (result, jobs finished so far, total jobs). May write to a stream.
   std::function<void(const JobResult&, std::size_t, std::size_t)> progress;

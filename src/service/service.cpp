@@ -205,7 +205,7 @@ std::vector<NodeId> parse_sizes(const std::string& text) {
 Service::Service(const ServiceOptions& opt)
     : opt_(opt),
       cache_(opt.cache_capacity),
-      pool_(ThreadPoolOptions{opt.workers, opt.pin_workers}) {
+      pool_(opt.workers) {
   DTOP_REQUIRE(opt.workers >= 1, "service workers must be >= 1");
   if (!opt_.cache_store.empty()) {
     std::ostream& warn = opt_.warn ? *opt_.warn : std::cerr;

@@ -90,10 +90,6 @@ inline constexpr std::size_t kServedOpCount =
 
 struct ServiceOptions {
   int workers = 1;                 // ThreadPool size executing requests
-  // Pin the request workers to distinct CPUs (best-effort; see
-  // support/affinity.hpp). Useful for multi-shard deployments where each
-  // dtopd should keep to its cores.
-  bool pin_workers = false;
   std::size_t cache_capacity = 64;  // ResultCache entries
   // When non-empty: a failed determine request is deterministically re-run
   // with a trace recorder and captured as <trace_dir>/req-<seq>.dtrace; a

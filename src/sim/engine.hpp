@@ -47,9 +47,8 @@
 // checkable number. The arena can be caller-owned (runner workers and dtopd
 // reuse one arena's high-water footprint across runs) or engine-owned when
 // none is supplied. Pool workers are persistent: spawned once at engine
-// construction (optionally pinned, see ThreadPoolOptions), they first-touch
-// their own scratch before the first tick and meet the stepping thread at a
-// spin-then-park tick barrier.
+// construction, they first-touch their own scratch before the first tick
+// and meet the stepping thread at a spin-then-park tick barrier.
 #pragma once
 
 #include <algorithm>
@@ -222,11 +221,6 @@ struct EngineOptions {
   // Caller-owned arena (see SyncEngine constructor comment); null = engine
   // owns a private one.
   Arena* arena = nullptr;
-
-  // Pin pool-owned workers to distinct CPUs at spawn (best-effort, see
-  // support/affinity.hpp). Off by default: pinning helps dedicated bench
-  // boxes and hurts oversubscribed ones.
-  bool pin_threads = false;
 
   // Minimum active nodes per worker before a tick forks across the pool;
   // 0 = kDefaultParallelGrain. Bench E10's calibration table records how
@@ -409,9 +403,8 @@ class SyncEngine {
       s->notes.reserve(kNoteReserve);
     }
     // First-touch: each worker initialises its own scratch buffer so the
-    // pages land on the worker's node (workers were pinned — if requested —
-    // at pool construction, before this fork). Pages a reused warm arena
-    // already faulted in stay where they were.
+    // pages land on the NUMA node the worker runs on. Pages a reused warm
+    // arena already faulted in stay where they were.
     pool_.run([this](int t) {
       EngineScratch& s = scratch_[static_cast<std::size_t>(t)];
       std::memset(s.sched, 0, s.sched_cap * sizeof(NodeId));
@@ -440,9 +433,6 @@ class SyncEngine {
 
   // The effective parallel-split threshold (active nodes per worker).
   std::size_t parallel_grain() const { return grain_; }
-
-  // The engine's worker pool (introspection: size, pinned).
-  const ThreadPool& pool() const { return pool_; }
 
   M& machine(NodeId v) { return machines_[v]; }
   const M& machine(NodeId v) const { return machines_[v]; }
@@ -699,7 +689,6 @@ class SyncEngine {
   static ThreadPoolOptions pool_options(const EngineOptions& opt) {
     ThreadPoolOptions p;
     p.num_threads = opt.num_threads;
-    p.pin_threads = opt.pin_threads;
     if (opt.spin_iters >= 0) p.spin_iters = opt.spin_iters;
     return p;
   }

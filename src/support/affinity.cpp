@@ -3,57 +3,22 @@
 #include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
 namespace dtop {
 
+int available_cpus() {
 #if defined(__linux__)
-
-namespace {
-
-// CPUs in the process affinity mask, in ascending id order. `out` must hold
-// CPU_SETSIZE entries; returns the count (0 on failure).
-int mask_cpus(int* out) {
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
-  int count = 0;
-  for (int c = 0; c < CPU_SETSIZE; ++c)
-    if (CPU_ISSET(c, &set)) out[count++] = c;
-  return count;
-}
-
-}  // namespace
-
-int available_cpus() {
-  int cpus[CPU_SETSIZE];
-  const int count = mask_cpus(cpus);
-  if (count > 0) return count;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-bool pin_current_thread(int cpu) {
-  int cpus[CPU_SETSIZE];
-  const int count = mask_cpus(cpus);
-  if (count <= 0 || cpu < 0) return false;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpus[cpu % count], &one);
-  return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
-}
-
-#else  // !__linux__
-
-int available_cpus() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-bool pin_current_thread(int) { return false; }
-
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return count;
+  }
 #endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 }  // namespace dtop

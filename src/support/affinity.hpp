@@ -1,9 +1,5 @@
-// CPU affinity helpers. Pinning is always best-effort and opt-in: a pool
-// constructed with pin_threads=true on a box where pinning fails (no
-// sched_setaffinity, cgroup mask shrunk under us, non-Linux platform) still
-// works — it just reports pinned()==false. Nothing in the engine's
-// correctness story depends on pinning; it only stabilises first-touch page
-// placement and bench numbers on NUMA hardware.
+// CPU-count query for sizing worker pools and recording the host a
+// measurement ran on.
 #pragma once
 
 namespace dtop {
@@ -11,10 +7,5 @@ namespace dtop {
 // Number of CPUs this process may run on (the affinity mask cardinality
 // where available, hardware_concurrency otherwise). Always >= 1.
 int available_cpus();
-
-// Pins the calling thread to the cpu'th CPU of the process's affinity mask
-// (index taken modulo available_cpus()). Returns true on success, false
-// where unsupported or denied.
-bool pin_current_thread(int cpu);
 
 }  // namespace dtop

@@ -29,14 +29,6 @@ struct ThreadPoolOptions {
   // body(i) for i in [0, num_threads), body(0) on the calling thread.
   int num_threads = 1;
 
-  // Pin each pool-owned worker i (1 <= i < num_threads) to the i'th CPU of
-  // the process affinity mask at thread start, before it touches any
-  // scratch memory — so first-touch page placement follows the pin. The
-  // calling thread (worker 0) is never pinned; hijacking the caller's
-  // affinity would leak into unrelated work on that thread. Best-effort:
-  // see support/affinity.hpp.
-  bool pin_threads = false;
-
   // Spin budget (pause iterations) before a worker or the joining caller
   // parks on a condvar. 0 means park immediately (pure condvar behaviour).
   int spin_iters = 1024;
@@ -64,10 +56,6 @@ class ThreadPool {
 
   int size() const { return num_threads_; }
 
-  // True when pinning was requested and every pool-owned worker pinned
-  // successfully (vacuously true for a 1-thread pool with pin_threads set).
-  bool pinned() const;
-
   // Blocks until every body(i) has returned. Exceptions from worker bodies
   // are rethrown on the calling thread. Takes a FunctionRef, not a
   // std::function: the engine forks once per tick, and a std::function
@@ -89,7 +77,6 @@ class ThreadPool {
   void worker_loop(int index);
 
   int num_threads_;
-  bool pin_requested_ = false;
   int spin_iters_ = 0;
   std::vector<std::thread> threads_;
 
@@ -110,7 +97,6 @@ class ThreadPool {
 
   const FunctionRef<void(int)>* body_ = nullptr;
   std::exception_ptr first_error_;
-  std::atomic<int> pins_ok_{0};
 };
 
 }  // namespace dtop

@@ -62,18 +62,14 @@ TEST(CliParse, RejectsUnknownFlag) {
   EXPECT_THROW(parse_run_args({"--family", "torus", "--bogus"}), UsageError);
 }
 
-TEST(CliParse, PinFlagAcrossSubcommands) {
-  // --pin rides every subcommand that owns a ThreadPool; default off.
-  EXPECT_FALSE(parse_run_args({"--family", "torus"}).pin);
-  EXPECT_TRUE(parse_run_args({"--family", "torus", "--pin"}).pin);
-  EXPECT_FALSE(parse_bench_args({}).pin);
-  EXPECT_TRUE(parse_bench_args({"--pin"}).pin);
-  EXPECT_FALSE(parse_sweep_args({}).pin);
-  EXPECT_TRUE(parse_sweep_args({"--pin"}).pin);
-  EXPECT_FALSE(parse_serve_args({"--socket", "s.sock"}).pin);
-  EXPECT_TRUE(parse_serve_args({"--socket", "s.sock", "--pin"}).pin);
-  EXPECT_FALSE(parse_cluster_args({"--socket-dir", "/tmp"}).pin);
-  EXPECT_TRUE(parse_cluster_args({"--socket-dir", "/tmp", "--pin"}).pin);
+TEST(CliParse, PinFlagRejectedAcrossSubcommands) {
+  // No subcommand takes --pin: worker placement is left to the OS.
+  EXPECT_THROW(parse_run_args({"--family", "torus", "--pin"}), UsageError);
+  EXPECT_THROW(parse_bench_args({"--pin"}), UsageError);
+  EXPECT_THROW(parse_sweep_args({"--pin"}), UsageError);
+  EXPECT_THROW(parse_serve_args({"--socket", "s.sock", "--pin"}), UsageError);
+  EXPECT_THROW(parse_cluster_args({"--socket-dir", "/tmp", "--pin"}),
+               UsageError);
 }
 
 TEST(CliParse, BenchThreadsFlag) {

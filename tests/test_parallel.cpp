@@ -197,18 +197,5 @@ TEST(ParallelEngine, GrainOneForcesForkAndStaysIdentical) {
   EXPECT_EQ(par.transcript.to_string(), seq.transcript.to_string());
 }
 
-TEST(ParallelEngine, PinnedRunStillCorrect) {
-  // Pinning is best-effort (it may silently fail in restricted sandboxes);
-  // either way the run must be untouched.
-  const PortGraph g = de_bruijn(4);
-  GtdOptions opt;
-  opt.num_threads = 2;
-  opt.pin_threads = true;
-  const GtdResult r = run_gtd(g, 0, opt);
-  ASSERT_EQ(r.status, RunStatus::kTerminated);
-  EXPECT_TRUE(verify_map(g, 0, r.map).ok);
-  EXPECT_EQ(r.stats.ticks, run_gtd(g, 0).stats.ticks);
-}
-
 }  // namespace
 }  // namespace dtop

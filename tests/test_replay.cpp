@@ -138,29 +138,40 @@ TEST(Replay, ReproducesViolationTraces) {
   // the violation rather than outliving the recording. A failing tick
   // keeps the notes of the nodes stepped before the failure in active
   // order, so the partial trace is the same at 4 threads with every
-  // multi-node tick forked.
+  // multi-node tick forked. The tick-11 injection's fatal tick forks with
+  // notes in a chunk after the throwing node's, which a 4-thread recording
+  // must drop.
   const PortGraph g = directed_ring(5);
-  const auto record = [&](int threads) {
-    trace::TraceRecorder rec;
-    GtdOptions opt;
-    opt.num_threads = threads;
-    opt.parallel_grain = 1;
-    opt.trace = &rec;
-    Character rogue;
-    rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
-    opt.injections.push_back(
-        trace::TraceInjection{3, g.out_wire(3, 0), rogue});
-    EXPECT_THROW(run_gtd(g, 0, opt), Error);
-    return rec.take();
+  struct Case {
+    Tick at;
+    WireId wire;
+    bool spans;
   };
-  const trace::RecordedTrace t = record(1);
-  ASSERT_FALSE(t.events.empty());
-  EXPECT_NE(t.events.back().kind, trace::TraceEventKind::kRunEnd);
-  EXPECT_EQ(serialize(record(4)), serialize(t));
+  for (const Case& c : {Case{3, g.out_wire(3, 0), false},
+                        Case{11, g.out_wire(0, 0), true}}) {
+    SCOPED_TRACE("injection at tick " + std::to_string(c.at));
+    const auto record = [&](int threads) {
+      trace::TraceRecorder rec;
+      GtdOptions opt;
+      opt.num_threads = threads;
+      opt.parallel_grain = 1;
+      opt.trace = &rec;
+      opt.spans = c.spans;
+      Character rogue;
+      rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+      opt.injections.push_back(trace::TraceInjection{c.at, c.wire, rogue});
+      EXPECT_THROW(run_gtd(g, 0, opt), Error);
+      return rec.take();
+    };
+    const trace::RecordedTrace t = record(1);
+    ASSERT_FALSE(t.events.empty());
+    EXPECT_NE(t.events.back().kind, trace::TraceEventKind::kRunEnd);
+    EXPECT_EQ(serialize(record(4)), serialize(t));
 
-  for (const int threads : {1, 4}) {
-    const ReplayResult r = replay_gtd(t, threads);
-    EXPECT_TRUE(r.ok) << threads << " threads: " << r.detail;
+    for (const int threads : {1, 4}) {
+      const ReplayResult r = replay_gtd(t, threads);
+      EXPECT_TRUE(r.ok) << threads << " threads: " << r.detail;
+    }
   }
 }
 

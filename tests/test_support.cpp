@@ -277,18 +277,6 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, PinnedSmoke) {
-  // Pinning is best-effort: pinned() may come back false in restricted
-  // sandboxes, but requesting it must never break dispatch.
-  ThreadPoolOptions opt;
-  opt.num_threads = 2;
-  opt.pin_threads = true;
-  ThreadPool pool(opt);
-  std::atomic<int> hits{0};
-  pool.run([&](int) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 2);
-}
-
 TEST(Affinity, AvailableCpusPositive) {
   EXPECT_GE(available_cpus(), 1);
 }
