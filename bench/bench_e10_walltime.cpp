@@ -26,6 +26,7 @@
 // tolerance; speedup depends on the runner's core count (a single-core CI
 // box measures ~1.0 regardless of thread count) and gates as skip;
 // peak_rss_kb is history-dependent and is reported but never gated.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -112,6 +113,28 @@ WindowSample time_window(Engine& engine, Tick warmup, Tick window) {
   return s;
 }
 
+constexpr int kRepeats = 5;
+
+// Calls `one` (which builds a fresh engine and returns its time_window)
+// kRepeats times and keeps the median wall time. The model columns are
+// deterministic, so a repeat that disagrees on them is a bug, not noise.
+template <typename One>
+WindowSample median_window(const One& one) {
+  std::vector<WindowSample> runs;
+  for (int r = 0; r < kRepeats; ++r) runs.push_back(one());
+  for (const WindowSample& s : runs) {
+    DTOP_CHECK(s.window_ticks == runs[0].window_ticks &&
+                   s.node_steps == runs[0].node_steps &&
+                   s.steady_allocs == runs[0].steady_allocs,
+               "E10: model columns differ across repeats of one row");
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const WindowSample& a, const WindowSample& b) {
+              return a.wall_ms < b.wall_ms;
+            });
+  return runs[kRepeats / 2];
+}
+
 void add_row(Table& table, const std::string& label, const PortGraph& g,
              const WindowSample& s) {
   const double secs = s.wall_ms / 1e3;
@@ -150,8 +173,10 @@ Table walltime_table(bool quick) {
   if (!quick) ks.push_back(20);
   for (const int k : ks) {
     const PortGraph g = de_bruijn(k);
-    FloodEngine engine(g, 0, {}, threads);
-    const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
+    const WindowSample s = median_window([&] {
+      FloodEngine engine(g, 0, {}, threads);
+      return time_window(engine, /*warmup=*/64, /*window=*/64);
+    });
     add_row(table, "flood-debruijn-" + std::to_string(g.num_nodes()), g, s);
   }
 
@@ -159,9 +184,10 @@ Table walltime_table(bool quick) {
   // engine overhead rather than per-node throughput.
   {
     const PortGraph g = directed_ring(4096);
-    FloodEngine engine(g, 0, {}, threads);
-    const WindowSample s =
-        time_window(engine, /*warmup=*/64, /*window=*/2048);
+    const WindowSample s = median_window([&] {
+      FloodEngine engine(g, 0, {}, threads);
+      return time_window(engine, /*warmup=*/64, /*window=*/2048);
+    });
     add_row(table, "flood-ring-4096", g, s);
   }
 
@@ -172,12 +198,13 @@ Table walltime_table(bool quick) {
                                         : std::vector<int>{9, 12, 15};
   for (const int k : gtd_ks) {
     const PortGraph g = de_bruijn(k);
-    Transcript t;
-    GtdMachine::Config cfg;
-    cfg.transcript = &t;
-    GtdEngine engine(g, 0, cfg, threads);
-    const WindowSample s =
-        time_window(engine, /*warmup=*/2048, /*window=*/256);
+    const WindowSample s = median_window([&] {
+      Transcript t;
+      GtdMachine::Config cfg;
+      cfg.transcript = &t;
+      GtdEngine engine(g, 0, cfg, threads);
+      return time_window(engine, /*warmup=*/2048, /*window=*/256);
+    });
     add_row(table, "gtd-debruijn-" + std::to_string(g.num_nodes()), g, s);
   }
   return table;
@@ -197,9 +224,10 @@ Table thread_scaling_table(bool quick) {
     const std::string label = "flood-debruijn-" + std::to_string(g.num_nodes());
     double wall_1 = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
-      FloodEngine engine(g, 0, {}, threads);
-      const WindowSample s =
-          time_window(engine, /*warmup=*/64, /*window=*/64);
+      const WindowSample s = median_window([&] {
+        FloodEngine engine(g, 0, {}, threads);
+        return time_window(engine, /*warmup=*/64, /*window=*/64);
+      });
       if (threads == 1) wall_1 = s.wall_ms;
       const double secs = s.wall_ms / 1e3;
       const double ticks_per_s =
@@ -236,8 +264,10 @@ Table metrics_overhead_table() {
     EngineOptions opt;
     opt.num_threads = bench_threads();
     if (with_metrics) opt.metrics = &hook;
-    FloodEngine engine(g, 0, {}, opt);
-    const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
+    const WindowSample s = median_window([&] {
+      FloodEngine engine(g, 0, {}, opt);
+      return time_window(engine, /*warmup=*/64, /*window=*/64);
+    });
     const double secs = s.wall_ms / 1e3;
     const double ticks_per_s =
         secs > 0 ? static_cast<double>(s.window_ticks) / secs : 0.0;
@@ -269,8 +299,10 @@ Table calibration_table() {
     EngineOptions opt;
     opt.num_threads = 2;
     opt.parallel_grain = grain;
-    FloodEngine engine(g, 0, {}, opt);
-    const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
+    const WindowSample s = median_window([&] {
+      FloodEngine engine(g, 0, {}, opt);
+      return time_window(engine, /*warmup=*/64, /*window=*/64);
+    });
     const double ns_per_step =
         s.node_steps > 0 ? s.wall_ms * 1e6 / static_cast<double>(s.node_steps)
                          : 0.0;

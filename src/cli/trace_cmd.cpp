@@ -9,8 +9,10 @@
 //                   DTR2 files serve windows through the seek index.
 //   trace diff      compare two traces event-by-event; pinpoint the first
 //                   divergent event and its tick.
-//   trace replay    re-execute the run a trace describes and hard-fail on
-//                   the first divergence from the recording.
+//   trace replay    re-execute the run a trace describes, compare each event
+//                   against the recording as it is produced, and hard-fail
+//                   on the first divergence; only the loaded recording is
+//                   held in memory.
 //   trace extract   cut an event/tick window into its own (viewing) trace.
 //   trace splice    graft a donor trace's injections onto the base run and
 //                   re-record, so the output replays clean.

@@ -112,7 +112,9 @@ struct ReplayResult {
 
 // Re-executes the run a trace describes — same network, root, protocol
 // config, schedules, and injections, all taken from the trace itself — and
-// hard-fails on the first divergence from the recorded stream. The engine
+// hard-fails on the first divergence from the recorded stream. Each event
+// is compared against the recording as it is produced; replay holds only
+// the recording it is given, never a second copy of the stream. The engine
 // being deterministic, a divergence means either the trace was perturbed or
 // the code changed behaviour; both are exactly what replay exists to catch.
 // A trace without a terminal kRunEnd records a run that died in a protocol

@@ -29,8 +29,10 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   DTOP_REQUIRE(h.root < h.graph.num_nodes(), "replay: root out of range");
 
   // A trace recorded with span events must be replayed with them, or
-  // every span event would read as a divergence.
-  trace::TraceRecorder live;
+  // every span event would read as a divergence. The live recorder checks
+  // each produced event against the recording as it arrives and keeps only
+  // the first mismatch, so replay holds no second copy of the stream.
+  trace::TraceRecorder live(rec.events);
   GtdMachine::Config cfg;
   cfg.protocol = h.config;
   cfg.transcript = &rr.transcript;
@@ -58,39 +60,12 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
                        rec.events.back().kind == trace::TraceEventKind::kRunEnd;
   const Tick budget = has_end ? end_tick : end_tick + 8;
 
-  // Compares everything produced so far against the recorded prefix;
-  // returns false (and fills rr) on the first mismatch.
-  std::size_t checked = 0;
-  const auto in_sync = [&]() {
-    const std::vector<trace::TraceEvent>& got = live.events();
-    for (; checked < got.size(); ++checked) {
-      if (checked >= rec.events.size()) {
-        rr.diverged = true;
-        rr.event_index = checked;
-        rr.tick = got[checked].tick;
-        rr.detail = "replay produced an event past the end of the recording: " +
-                    to_string(got[checked]);
-        return false;
-      }
-      if (!(got[checked] == rec.events[checked])) {
-        rr.diverged = true;
-        rr.event_index = checked;
-        rr.tick = rec.events[checked].tick;
-        rr.detail = "first divergence at event " + std::to_string(checked) +
-                    " (tick " + std::to_string(rr.tick) + "): recorded " +
-                    to_string(rec.events[checked]) + ", replay produced " +
-                    to_string(got[checked]);
-        return false;
-      }
-    }
-    return true;
-  };
+  const auto in_sync = [&] { return !live.mismatch(); };
 
   std::string violation;
   try {
-    bool synced = true;
-    while (synced && engine.now() < budget) {
-      while (next_ext < externals.size() &&
+    while (in_sync() && engine.now() < budget) {
+      while (in_sync() && next_ext < externals.size() &&
              rec.events[externals[next_ext]].tick == engine.now()) {
         const trace::TraceEvent& ev = rec.events[externals[next_ext]];
         if (ev.kind == trace::TraceEventKind::kSchedule) {
@@ -99,18 +74,15 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
           engine.inject(ev.a, ev.payload);
         }
         ++next_ext;
-        if (!(synced = in_sync())) break;
       }
-      if (!synced) break;
+      if (!in_sync()) break;
       engine.step();
-      synced = in_sync();
     }
-    if (synced && has_end) {
+    if (in_sync() && has_end) {
       const RunStatus status = engine.machine(h.root).terminated()
                                    ? RunStatus::kTerminated
                                    : RunStatus::kTickBudget;
       live.finish(engine.now(), status);
-      synced = in_sync();
     }
   } catch (const Error& e) {
     // A protocol violation during replay is legitimate iff the recording is
@@ -118,29 +90,40 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
     violation = e.what();
   }
 
-  // Events emitted during a fatal tick (e.g. the root's transcript entries
-  // pushed before another node's step threw) were produced but not yet
-  // compared when the exception unwound; re-sync so a faithful reproduction
-  // of a violation trace is not misread as "never produced".
-  if (!rr.diverged) (void)in_sync();
-
   rr.stats = engine.stats();
 
-  if (!rr.diverged) {
-    if (checked < rec.events.size()) {
-      rr.diverged = true;
-      rr.event_index = checked;
-      rr.tick = rec.events[checked].tick;
-      rr.detail = "recording continues past the replay: recorded " +
-                  to_string(rec.events[checked]) + " was never produced" +
-                  (violation.empty() ? "" : " (replay raised: " + violation +
-                                                ")");
-    } else if (!violation.empty() && has_end) {
-      rr.detail = "replay raised a violation the recording does not contain: " +
-                  violation;
+  // Events a fatal tick emitted before the throw (e.g. the root's
+  // transcript entries) were checked on arrival, so a faithful reproduction
+  // of a violation trace counts them as produced.
+  const std::size_t produced = live.produced();
+  if (const auto& m = live.mismatch()) {
+    rr.diverged = true;
+    rr.event_index = m->index;
+    if (m->index >= rec.events.size()) {
+      rr.tick = m->produced.tick;
+      rr.detail = "replay produced an event past the end of the recording: " +
+                  to_string(m->produced);
     } else {
-      rr.ok = true;
+      const trace::TraceEvent& want = rec.events[m->index];
+      rr.tick = want.tick;
+      rr.detail = "first divergence at event " + std::to_string(m->index) +
+                  " (tick " + std::to_string(rr.tick) + "): recorded " +
+                  to_string(want) + ", replay produced " +
+                  to_string(m->produced);
     }
+  } else if (produced < rec.events.size()) {
+    rr.diverged = true;
+    rr.event_index = produced;
+    rr.tick = rec.events[produced].tick;
+    rr.detail = "recording continues past the replay: recorded " +
+                to_string(rec.events[produced]) + " was never produced" +
+                (violation.empty() ? "" : " (replay raised: " + violation +
+                                              ")");
+  } else if (!violation.empty() && has_end) {
+    rr.detail = "replay raised a violation the recording does not contain: " +
+                violation;
+  } else {
+    rr.ok = true;
   }
   return rr;
 }

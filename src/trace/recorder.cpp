@@ -30,6 +30,7 @@ const TraceHeader& TraceRecorder::header() const {
 
 RecordedTrace TraceRecorder::take() {
   DTOP_REQUIRE(started_, "TraceRecorder: nothing recorded");
+  DTOP_REQUIRE(!expected_, "TraceRecorder: a checking recorder stores nothing");
   RecordedTrace out;
   out.header = std::move(header_);
   out.events = std::move(events_);
@@ -37,13 +38,20 @@ RecordedTrace TraceRecorder::take() {
   finished_ = false;
   header_ = TraceHeader{};
   events_.clear();
+  produced_ = 0;
   return out;
 }
 
-void TraceRecorder::push(TraceEvent ev) {
+void TraceRecorder::push(const TraceEvent& ev) {
   DTOP_CHECK(started_ && !finished_,
              "trace event outside the begin()..finish() window");
-  events_.push_back(std::move(ev));
+  if (!expected_) {
+    events_.push_back(ev);
+  } else if (!mismatch_ && (produced_ >= expected_->size() ||
+                            !(ev == (*expected_)[produced_]))) {
+    mismatch_ = Mismatch{produced_, ev};
+  }
+  ++produced_;
 }
 
 void TraceRecorder::on_schedule(Tick now, NodeId v) {

@@ -8,8 +8,15 @@
 // every recording, spans included, is bit-identical at any num_threads.
 //
 // run_gtd wires it up when GtdOptions::trace is set.
+//
+// Built over an expected stream instead, the recorder is replay's oracle:
+// each event is compared against the expected one at its index as the sink
+// receives it, and only the count of events produced and the first mismatch
+// are kept. Recording and checking share one event construction.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "sim/trace_sink.hpp"
@@ -21,19 +28,35 @@ class TraceRecorder final : public EngineTraceSink<Character> {
  public:
   TraceRecorder() = default;
 
+  // Check mode: compare against `expected` (which must outlive the
+  // recorder) rather than store. events() stays empty and take() refuses.
+  explicit TraceRecorder(const std::vector<TraceEvent>& expected)
+      : expected_(&expected) {}
+
+  // The first produced event that differs from the expected one at its
+  // index, or that runs past the end of the expected stream.
+  struct Mismatch {
+    std::size_t index = 0;
+    TraceEvent produced;
+  };
+
   // Captures the run's identity (network, root, protocol config) into the
   // trace header. Must be called exactly once, before any event arrives.
   void begin(const PortGraph& g, NodeId root, const ProtocolConfig& config);
 
-  // Appends the terminal kRunEnd record. Call once, when the run ended
-  // cleanly; a recorder abandoned mid-run (protocol violation) simply keeps
-  // its partial event list.
+  // Appends (in check mode: compares) the terminal kRunEnd record. Call
+  // once, when the run ended cleanly; a recorder abandoned mid-run
+  // (protocol violation) simply keeps its partial event list.
   void finish(Tick final_tick, RunStatus status);
 
   bool started() const { return started_; }
   bool finished() const { return finished_; }
   const TraceHeader& header() const;
   const std::vector<TraceEvent>& events() const { return events_; }
+  // Events received since begin(), stored or checked.
+  std::size_t produced() const { return produced_; }
+  // Check mode: the first mismatch; later ones never overwrite it.
+  const std::optional<Mismatch>& mismatch() const { return mismatch_; }
 
   // Moves the capture out as a self-contained trace.
   RecordedTrace take();
@@ -49,12 +72,15 @@ class TraceRecorder final : public EngineTraceSink<Character> {
                  bool overwrote) override;
 
  private:
-  void push(TraceEvent ev);
+  void push(const TraceEvent& ev);
 
   bool started_ = false;
   bool finished_ = false;
   TraceHeader header_;
   std::vector<TraceEvent> events_;
+  const std::vector<TraceEvent>* expected_ = nullptr;  // check mode
+  std::size_t produced_ = 0;
+  std::optional<Mismatch> mismatch_;
 };
 
 }  // namespace dtop::trace

@@ -107,6 +107,99 @@ TEST(Replay, DetectsDroppedEvent) {
   EXPECT_LE(r.event_index, victim + 1);
 }
 
+TEST(Replay, RecordingCutShortIsOutrunByTheReplay) {
+  // A recording truncated mid-run has no run-end, so replay runs a few
+  // ticks past its last event; the first event it produces past the cut is
+  // the divergence, reported at the produced event's tick.
+  const PortGraph g = directed_torus(3, 3);
+  const trace::RecordedTrace full = record_run(g, 1);
+  const std::size_t cut = full.events.size() / 2;
+  // Cut where the next event is still inside the replay's slack window.
+  ASSERT_EQ(full.events[cut].tick, full.events[cut - 1].tick);
+  trace::RecordedTrace t = full;
+  t.events.resize(cut);
+  for (const int threads : {1, 4}) {
+    const ReplayResult r = replay_gtd(t, threads);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.diverged);
+    EXPECT_EQ(r.event_index, cut);
+    EXPECT_EQ(r.tick, full.events[cut].tick);
+    EXPECT_EQ(r.detail.rfind(
+                  "replay produced an event past the end of the recording: " +
+                      trace::to_string(full.events[cut]),
+                  0),
+              0u)
+        << r.detail;
+  }
+}
+
+TEST(Replay, RecordingWithAnExtraTrailingEventIsNeverReached) {
+  // A second run-end after the real one, at the same tick: replay
+  // reproduces the whole run, then finds the recording still going.
+  const PortGraph g = directed_torus(3, 3);
+  trace::RecordedTrace t = record_run(g, 1);
+  const std::size_t extra = t.events.size();
+  const trace::TraceEvent tail = t.events.back();
+  ASSERT_EQ(tail.kind, trace::TraceEventKind::kRunEnd);
+  t.events.push_back(tail);
+  for (const int threads : {1, 4}) {
+    const ReplayResult r = replay_gtd(t, threads);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.diverged);
+    EXPECT_EQ(r.event_index, extra);
+    EXPECT_EQ(r.tick, tail.tick);
+    EXPECT_EQ(r.detail.rfind("recording continues past the replay: recorded " +
+                                 trace::to_string(tail) + " was never produced",
+                             0),
+              0u)
+        << r.detail;
+  }
+}
+
+TEST(Replay, CheckingRecorderCountsButStoresNothing) {
+  // Replay's oracle: a recorder built over the recording checks each event
+  // as it is produced and keeps no copy of the stream.
+  const PortGraph g = de_bruijn(4);
+  const trace::RecordedTrace t = record_run(g, 1);
+  ASSERT_GT(t.events.size(), 5000u);
+  for (const int threads : {1, 4}) {
+    trace::TraceRecorder check(t.events);
+    GtdOptions opt;
+    opt.num_threads = threads;
+    opt.trace = &check;
+    ASSERT_EQ(run_gtd(g, 0, opt).status, RunStatus::kTerminated);
+    EXPECT_EQ(check.produced(), t.events.size());
+    EXPECT_TRUE(check.events().empty());
+    EXPECT_FALSE(check.mismatch().has_value());
+    EXPECT_THROW((void)check.take(), Error);
+  }
+}
+
+TEST(Replay, CheckingRecorderKeepsTheFirstMismatch) {
+  // Two perturbed sends: the run goes on past the first (run_gtd does not
+  // stop at a divergence), and the second must not overwrite it.
+  const PortGraph g = de_bruijn(3);
+  trace::RecordedTrace t = record_run(g, 1);
+  std::vector<std::size_t> sends;
+  for (std::size_t i = t.events.size() / 3; i < t.events.size(); ++i) {
+    if (t.events[i].kind == trace::TraceEventKind::kWireSend) sends.push_back(i);
+  }
+  ASSERT_GE(sends.size(), 2u);
+  const trace::TraceEvent original = t.events[sends.front()];
+  for (const std::size_t i : {sends.front(), sends.back()}) {
+    t.events[i].payload.kill = !t.events[i].payload.kill;
+  }
+  trace::TraceRecorder check(t.events);
+  GtdOptions opt;
+  opt.trace = &check;
+  ASSERT_EQ(run_gtd(g, 0, opt).status, RunStatus::kTerminated);
+  EXPECT_EQ(check.produced(), t.events.size());
+  ASSERT_TRUE(check.mismatch().has_value());
+  EXPECT_EQ(check.mismatch()->index, sends.front());
+  EXPECT_EQ(check.mismatch()->produced, original);
+  EXPECT_TRUE(check.events().empty());
+}
+
 TEST(Replay, ReproducesInjectedFaultRuns) {
   // A recorded run with a fault injection replays through the same
   // injection path: the kInject event is both script and oracle.
