@@ -12,15 +12,15 @@
 #include "core/gtd.hpp"
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
-#include "runner/runner.hpp"
+#include "runner/emit.hpp"
 #include "support/table.hpp"
 #include "trace/span_collector.hpp"
 
 namespace dtop::bench {
 
 // Runs the protocol and returns the result together with the ground-truth
-// quantities the tables report. Aborts loudly if the run is not exact —
-// benchmark numbers from a broken protocol would be meaningless. With
+// quantities the tables report. Aborts loudly unless judge() calls the run
+// exact — benchmark numbers from a broken protocol would be meaningless. With
 // opt.spans set, the run is recorded and its RCA/BCA spans read back.
 struct ProtocolRun {
   std::string label;
@@ -50,20 +50,13 @@ std::vector<runner::JobResult> run_family_sweep(
 // to trim the sweep so the JSON artifacts stay cheap to regenerate.
 std::vector<NodeId> default_sizes();
 
-// Engine thread count for E10's single-workload wall-clock rows:
-// the --threads value dtopctl bench forwards via DTOP_BENCH_THREADS, else
-// the env var directly, else 1. Committed baselines are recorded at the
-// default so rows stay comparable across boxes; the knob exists to
-// reproduce any row at a chosen thread count. Clamped to >= 1.
-int bench_threads();
-
 // Machine-readable companion to the printed tables: accumulates an
 // experiment's tables and writes them as BENCH_<exp>.json — the same
 // model-time numbers as the human tables (numeric cells emitted as JSON
 // numbers) plus an "env" block (compiler, build type, hardware threads).
 // The file lands in $DTOP_BENCH_JSON_DIR if set, else the working
 // directory; CI uploads the files as artifacts, giving every experiment a
-// perf trajectory over time.
+// perf trajectory over time. The format is runner::write_bench_json's.
 class BenchJson {
  public:
   explicit BenchJson(std::string exp);  // e.g. "E1"

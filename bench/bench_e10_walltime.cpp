@@ -164,7 +164,7 @@ Table walltime_table(bool quick) {
       "E10: steady-state wall time (flood = pure engine, gtd = truncated "
       "protocol run with transcript; engine threads = bench_threads())");
 
-  const int threads = bench_threads();
+  const int threads = runner::bench_threads();
 
   // Pure-engine dense floods: every node active every tick once the flood
   // saturates (warmup >> diameter). 2^17 = 131072 covers the 10^5 target in
@@ -262,7 +262,7 @@ Table metrics_overhead_table() {
   const obs::EngineMetrics hook = obs::EngineMetrics::create(registry);
   for (const bool with_metrics : {false, true}) {
     EngineOptions opt;
-    opt.num_threads = bench_threads();
+    opt.num_threads = runner::bench_threads();
     if (with_metrics) opt.metrics = &hook;
     const WindowSample s = median_window([&] {
       FloodEngine engine(g, 0, {}, opt);

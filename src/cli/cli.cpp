@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
 #include "cli/cli_io.hpp"
@@ -13,6 +12,7 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/permute.hpp"
+#include "runner/emit.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -57,15 +57,6 @@ void check_spec(const GraphSpec& spec) {
 }
 
 namespace {
-
-// Engine threads when `bench --threads` is unset: DTOP_BENCH_THREADS, else
-// 1. Mirrors bench::bench_threads() (bench/ isn't linked into the CLI).
-int env_bench_threads() {
-  const char* env = std::getenv("DTOP_BENCH_THREADS");
-  if (!env || !*env) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<int>(v) : 1;
-}
 
 void print_map_edges(const TopologyMap& map, std::ostream& out) {
   out << "Recovered topology (node 0 is the root; nodes are named by their "
@@ -214,8 +205,7 @@ int run_command(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   gopt.max_ticks = opt.max_ticks;
   const GtdResult result = run_gtd(g, opt.root, gopt);
   if (result.status != RunStatus::kTerminated) {
-    err << "error: protocol did not terminate within the tick budget ("
-        << result.stats.ticks << " ticks elapsed)\n";
+    err << "error: " << judge(g, opt.root, result).detail << "\n";
     return 1;
   }
 
@@ -231,13 +221,9 @@ int run_command(const RunOptions& opt, std::ostream& out, std::ostream& err) {
   }
 
   if (opt.verify) {
-    const VerifyResult v = verify_map(g, opt.root, result.map);
-    out << "Verification: " << (v.ok ? "EXACT MATCH" : v.detail) << "\n";
-    if (!v.ok) return 1;
-    if (!result.end_state_clean) {
-      err << "error: end state not clean (Lemma 4.2 violated)\n";
-      return 1;
-    }
+    const Verdict v = judge(g, opt.root, result);
+    out << "Verification: " << (v.ok() ? "EXACT MATCH" : v.detail) << "\n";
+    if (!v.ok()) return 1;
   }
   return 0;
 }
@@ -312,12 +298,13 @@ int bench_command(const BenchOptions& opt, std::ostream& out,
       GtdOptions gopt;
       // Flag beats DTOP_BENCH_THREADS beats 1 — the same resolution the
       // bench binaries use, so a table row is reproducible either way.
-      gopt.num_threads = opt.threads > 0 ? opt.threads : env_bench_threads();
+      gopt.num_threads =
+          opt.threads > 0 ? opt.threads : runner::bench_threads();
       const GtdResult result = run_gtd(fi.graph, /*root=*/0, gopt);
-      if (result.status != RunStatus::kTerminated ||
-          !verify_map(fi.graph, 0, result.map).ok) {
-        err << "error: " << fam << " N=" << n
-            << ": protocol run failed or map mismatched\n";
+      const Verdict v = judge(fi.graph, 0, result);
+      if (!v.ok()) {
+        err << "error: " << fam << " N=" << n << ": " << to_cstr(v.outcome)
+            << ": " << v.detail << "\n";
         all_ok = false;
         continue;
       }

@@ -104,8 +104,9 @@ std::vector<CatalogEntry> build_catalog(const LoadgenOptions& opt) {
 
     // The verify payload: run the protocol locally once, embed the map.
     const GtdResult r = run_gtd(fi.graph, /*root=*/0);
-    DTOP_CHECK(r.status == RunStatus::kTerminated,
-               "loadgen catalog run did not terminate: " + fi.label);
+    const Verdict v = judge(fi.graph, 0, r);
+    DTOP_CHECK(v.ok(), "loadgen catalog run of " + fi.label + " is not exact: " +
+                           to_cstr(v.outcome) + ": " + v.detail);
     std::ostringstream map_text;
     write_map(map_text, r.map);
 
@@ -300,58 +301,6 @@ std::string format_rate(double rate) {
                      : "open@" + format_double(rate, 1) + "/s";
 }
 
-// BENCH_LOADGEN.json in the bench artifact format (bench/bench_common.cpp
-// defines the shape; duplicated here because the CLI does not link the
-// bench harness): numeric cells as JSON numbers, plus the env block.
-void write_json_cell(std::ostream& os, const std::string& cell) {
-  if (!cell.empty()) {
-    char* end = nullptr;
-    (void)std::strtod(cell.c_str(), &end);
-    if (end == cell.c_str() + cell.size()) {
-      os << cell;
-      return;
-    }
-  }
-  os << '"' << runner::json_escape(cell) << '"';
-}
-
-void write_bench_json(const std::string& dir, const Table& table,
-                      std::ostream& diag) {
-  const std::string path = dir + "/BENCH_LOADGEN.json";
-  std::ofstream os(path);
-  if (!os.is_open()) {
-    throw Error("cannot open " + path + " for writing");
-  }
-  os << "{\n  \"experiment\": \"LOADGEN\",\n"
-     << "  \"env\": {\"compiler\": \"" << runner::json_escape(__VERSION__)
-     << "\", \"build\": \""
-#ifdef NDEBUG
-     << "release"
-#else
-     << "debug"
-#endif
-     << "\", \"hardware_threads\": " << std::thread::hardware_concurrency()
-     << ", \"quick\": false},\n"
-     << "  \"tables\": {\n    \"loadgen\": {\"caption\": \""
-     << runner::json_escape(table.caption()) << "\",\n     \"columns\": [";
-  const auto& header = table.header();
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    os << (c ? ", " : "") << '"' << runner::json_escape(header[c]) << '"';
-  }
-  os << "],\n     \"rows\": [";
-  const auto& rows = table.rows();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    os << (r ? ",\n       [" : "\n       [");
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      if (c) os << ", ";
-      write_json_cell(os, rows[r][c]);
-    }
-    os << "]";
-  }
-  os << "\n     ]}\n  }\n}\n";
-  diag << "Machine-readable table written to " << path << "\n";
-}
-
 }  // namespace
 
 LoadgenOptions parse_loadgen_args(const std::vector<std::string>& args) {
@@ -534,7 +483,14 @@ int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
   add_row("total", total_row);
 
   with_output(opt.out, out, [&](std::ostream& os) { table.print(os); });
-  if (!opt.bench_json.empty()) write_bench_json(opt.bench_json, table, err);
+  if (!opt.bench_json.empty()) {
+    const std::string path = opt.bench_json + "/BENCH_LOADGEN.json";
+    std::ofstream os(path);
+    if (!os.is_open()) throw Error("cannot open " + path + " for writing");
+    runner::write_bench_json(os, "LOADGEN", {{"loadgen", table}},
+                             std::nullopt, /*quick=*/false);
+    err << "Machine-readable table written to " << path << "\n";
+  }
   if (!opt.quiet) {
     err << "loadgen: " << total_row.count << " requests in "
         << format_double(wall.count(), 2) << "s, " << total_row.errors

@@ -46,7 +46,7 @@ void print_progress(std::ostream& err, const runner::JobResult& r,
                     std::size_t done, std::size_t total) {
   err << "[" << done << "/" << total << "] " << r.label << " seed="
       << r.spec.seed << " config=" << r.spec.config.label << " scenario="
-      << r.spec.scenario.label << ": " << runner::to_cstr(r.status) << " ("
+      << r.spec.scenario.label << ": " << to_cstr(r.status) << " ("
       << r.ticks << " ticks, " << r.messages << " chars)";
   if (!r.ok() && !r.detail.empty()) err << " — " << r.detail;
   if (!r.trace_file.empty()) err << " [trace: " << r.trace_file << "]";
@@ -67,7 +67,7 @@ void print_table(std::ostream& out, const runner::CampaignResult& result) {
         .cell(j.spec.seed)
         .cell(j.spec.config.label)
         .cell(j.spec.scenario.label)
-        .cell(runner::to_cstr(j.status))
+        .cell(to_cstr(j.status))
         .cell(static_cast<std::int64_t>(j.ticks))
         .cell(j.messages);
   }

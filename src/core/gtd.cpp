@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/drive.hpp"
+#include "core/verify.hpp"
+
 namespace dtop {
 
 Tick default_tick_budget(const PortGraph& g) {
@@ -31,6 +34,51 @@ bool end_state_clean(GtdEngine& engine) {
   return true;
 }
 
+void drive_gtd(GtdEngine& engine, const ProtocolConfig& protocol,
+               std::span<const trace::TraceInjection> injections, Tick budget,
+               trace::TraceRecorder* trace, GtdResult& out) {
+  const NodeId root = engine.root();
+  if (trace) {
+    trace->begin(engine.graph(), root, protocol);
+    engine.set_trace_sink(trace);
+  }
+  engine.schedule(root);
+
+  // Injections fire when the engine clock reads their tick (delivery at
+  // tick + 1), interleaved with stepping, in the order given.
+  std::size_t next_inj = 0;
+  while (engine.now() < budget) {
+    while (next_inj < injections.size() &&
+           injections[next_inj].at == engine.now()) {
+      engine.inject(injections[next_inj].wire, injections[next_inj].rogue);
+      ++next_inj;
+      ++out.injections_applied;
+    }
+    engine.step();
+    if (engine.machine(root).terminated()) {
+      out.status = RunStatus::kTerminated;
+      break;
+    }
+  }
+  out.stats = engine.stats();
+  out.stats.peak_rss_kb = peak_rss_kb();
+
+  if (out.status == RunStatus::kTerminated) {
+    // The root terminates the moment its last out-port finishes; at that
+    // tick the final BCA's BUNMARK is still one hop from its initiator (by
+    // design — see DESIGN.md 3d). Give the O(1) residue a few pulses to
+    // drain before auditing.
+    for (int i = 0; i < 8; ++i) engine.step();
+    out.end_state_clean = end_state_clean(engine);
+  }
+
+  // Seal the recording; the drain steps above are part of the trace, so a
+  // replay reproduces them too. (On a protocol violation an exception has
+  // already unwound past this point and the recorder keeps its partial
+  // stream — that, plus never reaching finish(), is the trace of a crash.)
+  if (trace) trace->finish(engine.now(), out.status);
+}
+
 GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   DTOP_REQUIRE(opt.num_threads >= 1, "num_threads >= 1");
 
@@ -48,60 +96,53 @@ GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt) {
   eopt.metrics = opt.metrics;
   eopt.metrics_shard = opt.metrics_shard;
   GtdEngine engine(g, root, cfg, eopt);
-  if (opt.trace) {
-    opt.trace->begin(g, root, opt.protocol);
-    engine.set_trace_sink(opt.trace);
-  }
-  engine.schedule(root);
 
-  // Injections fire when the engine clock reads their tick (delivery at
-  // tick + 1), interleaved with stepping; a stable sort keeps same-tick
-  // injections in caller order.
+  // A stable sort keeps same-tick injections in caller order.
   std::vector<trace::TraceInjection> injections = opt.injections;
   std::stable_sort(injections.begin(), injections.end(),
                    [](const trace::TraceInjection& x,
                       const trace::TraceInjection& y) { return x.at < y.at; });
-  std::size_t next_inj = 0;
-
-  const Tick budget = opt.max_ticks > 0 ? opt.max_ticks : default_tick_budget(g);
-  while (engine.now() < budget) {
-    while (next_inj < injections.size() &&
-           injections[next_inj].at == engine.now()) {
-      engine.inject(injections[next_inj].wire, injections[next_inj].rogue);
-      ++next_inj;
-      ++result.injections_applied;
-    }
-    engine.step();
-    if (engine.machine(root).terminated()) {
-      result.status = RunStatus::kTerminated;
-      break;
-    }
-  }
-  result.stats = engine.stats();
-  result.stats.peak_rss_kb = peak_rss_kb();
+  drive_gtd(engine, opt.protocol, injections,
+            opt.max_ticks > 0 ? opt.max_ticks : default_tick_budget(g),
+            opt.trace, result);
 
   MapBuilder builder(g.delta());
   builder.consume_all(result.transcript);
   result.map_complete = builder.complete();
   result.map = builder.map();
   result.records = builder.records();
-
-  if (opt.audit_end_state && result.status == RunStatus::kTerminated) {
-    // The root terminates the moment its last out-port finishes; at that
-    // tick the final BCA's BUNMARK is still one hop from its initiator (by
-    // design — see DESIGN.md 3d). Give the O(1) residue a few pulses to
-    // drain before auditing.
-    for (int i = 0; i < 8; ++i) engine.step();
-    result.end_state_clean = end_state_clean(engine);
-  }
-
-  // Seal the recording; the drain steps above are part of the trace, so a
-  // replay reproduces them too. (On a protocol violation an exception has
-  // already unwound past this point and the recorder keeps its partial
-  // stream — that, plus never reaching finish(), is the trace of a crash.)
-  if (opt.trace) opt.trace->finish(engine.now(), result.status);
-
   return result;
+}
+
+const char* to_cstr(Outcome o) {
+  switch (o) {
+    case Outcome::kExact: return "exact";
+    case Outcome::kResidue: return "residue";
+    case Outcome::kMismatch: return "mismatch";
+    case Outcome::kBudget: return "budget";
+    case Outcome::kViolation: return "violation";
+  }
+  return "?";
+}
+
+Verdict judge(const PortGraph& g, NodeId root, const GtdResult& r) {
+  if (r.status != RunStatus::kTerminated) {
+    return {Outcome::kBudget, "tick budget exhausted after " +
+                                  std::to_string(r.stats.ticks) + " ticks"};
+  }
+  if (!r.map_complete) {
+    return {Outcome::kMismatch, "transcript did not yield a complete map"};
+  }
+  VerifyResult v = verify_map(g, root, r.map);
+  if (!v.ok) return {Outcome::kMismatch, std::move(v.detail)};
+  if (!r.end_state_clean) {
+    return {Outcome::kResidue, "end state not pristine (Lemma 4.2)"};
+  }
+  return {Outcome::kExact, ""};
+}
+
+Verdict judge(const std::exception& thrown) {
+  return {Outcome::kViolation, thrown.what()};
 }
 
 }  // namespace dtop

@@ -1,14 +1,17 @@
 // Public one-call API: run the Global Topology Determination protocol on a
 // network and return everything the experiments need — the recovered map,
-// the transcript, tick/message statistics, and end-state audits.
+// the transcript, tick/message statistics, and end-state audits — plus the
+// one verdict on what such a run means (judge).
 //
 // Quickstart:
 //   PortGraph g = de_bruijn(5);
 //   GtdResult r = run_gtd(g, /*root=*/0);
-//   DTOP: r.map holds the port-labelled topology; verify_map(g, 0, r.map).ok
+//   DTOP: r.map holds the port-labelled topology; judge(g, 0, r).ok()
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <string>
 #include <vector>
 
 #include "core/map_builder.hpp"
@@ -34,7 +37,6 @@ struct GtdOptions {
   // trace::collect_spans then reads them back. Without a trace the span
   // notes are dropped.
   bool spans = false;
-  bool audit_end_state = true;  // check Lemma 4.2 pristineness
 
   // Arena the run's engine state lives in. nullptr = the engine owns a
   // private per-run arena. Long-lived callers (runner workers, dtopd
@@ -70,12 +72,14 @@ struct GtdOptions {
 
 struct GtdResult {
   RunStatus status = RunStatus::kTickBudget;
-  EngineStats stats;
+  EngineStats stats;  // taken at the termination (or budget) tick
   Transcript transcript;
   TopologyMap map{1};
   std::vector<RcaRecord> records;
   bool map_complete = false;   // transcript reached kTerminated cleanly
-  bool end_state_clean = false;  // all machines pristine, no wires busy
+  // All machines pristine and no wire busy, audited 8 ticks after
+  // termination (Lemma 4.2); false for a run that did not terminate.
+  bool end_state_clean = false;
   std::size_t injections_applied = 0;  // how many injections actually fired
 };
 
@@ -83,6 +87,8 @@ struct GtdResult {
 // network, used as the default tick budget.
 Tick default_tick_budget(const PortGraph& g);
 
+// Runs the protocol to termination or budget (core/drive.hpp), then reads
+// the map out of the root's transcript. Throws on a protocol violation.
 GtdResult run_gtd(const PortGraph& g, NodeId root, const GtdOptions& opt = {});
 
 using GtdEngine = SyncEngine<GtdMachine>;
@@ -90,6 +96,33 @@ using GtdEngine = SyncEngine<GtdMachine>;
 // End-state audit helper shared by run_gtd and the tests: every machine
 // pristine (no protocol residue), every wire silent, every DFS finished.
 bool end_state_clean(GtdEngine& engine);
+
+// --- verdict -------------------------------------------------------------
+
+// How a determination ended, most desirable first. kExact is the only
+// success: the root terminated, its transcript yields a complete map, the
+// map is verify_map-exact, and the network is left pristine (Lemma 4.2).
+enum class Outcome : std::uint8_t {
+  kExact,
+  kResidue,    // map exact but the end state kept protocol residue
+  kMismatch,   // terminated but the recovered map is wrong or incomplete
+  kBudget,     // tick budget exhausted before the root terminated
+  kViolation,  // a protocol invariant (or other exception) fired
+};
+const char* to_cstr(Outcome o);  // "exact", "residue", ...
+
+struct Verdict {
+  Outcome outcome = Outcome::kViolation;
+  std::string detail;  // why the run is not exact ("" when it is)
+  bool ok() const { return outcome == Outcome::kExact; }
+};
+
+// The one judgement of a run_gtd result on network `g` from `root`. The
+// checks run from kBudget up, so the first failing one names the outcome;
+// verify_map runs only for a terminated run with a complete map.
+Verdict judge(const PortGraph& g, NodeId root, const GtdResult& r);
+// A run that threw is a violation, explained by the exception's message.
+Verdict judge(const std::exception& thrown);
 
 // --- replay (core/replay.cpp) --------------------------------------------
 
@@ -105,13 +138,15 @@ struct ReplayResult {
   std::string detail;           // human-readable explanation ("" when ok)
 
   // The re-executed run's artifacts (always filled as far as the replay
-  // got): transcript-derived map and engine stats, for post-mortem use.
+  // got): the transcript, and the engine stats — taken at the termination
+  // tick as run_gtd takes them, or at the fatal tick of a violation.
   EngineStats stats;
   Transcript transcript;
 };
 
-// Re-executes the run a trace describes — same network, root, protocol
-// config, schedules, and injections, all taken from the trace itself — and
+// Re-executes the run a trace describes — same network, root and protocol
+// config from the header, the recording's kInject events as the injections
+// — through run_gtd's tick loop (core/drive.hpp) on an engine of its own, and
 // hard-fails on the first divergence from the recorded stream. Each event
 // is compared against the recording as it is produced; replay holds only
 // the recording it is given, never a second copy of the stream. The engine
@@ -142,5 +177,15 @@ struct RerecordResult {
 // crash would have left on disk (no terminal kRunEnd).
 RerecordResult rerecord_gtd(const trace::RecordedTrace& base,
                             std::vector<trace::TraceInjection> injections);
+
+// Post-mortem capture of a failed run, shared by the campaign runner and
+// dtopd: re-executes the run `opt` describes (resetting opt.arena first;
+// the failed run's engine is gone) with a recorder attached, and writes the
+// recording to `path` as DTR2. Runs are deterministic, so the re-run
+// reproduces the failure — a protocol violation included, whose partial
+// trace has no terminal kRunEnd. Returns false when the run failed before
+// anything was recorded; throws Error when `path` cannot be written.
+bool capture_trace(const PortGraph& g, NodeId root, GtdOptions opt,
+                   const std::string& path);
 
 }  // namespace dtop

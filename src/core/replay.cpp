@@ -1,23 +1,18 @@
 // Trace replay: re-execute a recorded run and hard-fail on the first
 // divergence from the recorded event stream.
 //
-// The trace is both the script of the run's external inputs (schedules and
-// injections, re-applied at their recorded ticks) and the oracle for its
-// outputs (every other event the re-execution must reproduce). Because the
-// engine is deterministic, the produced stream either matches the recording
-// event-for-event or the first mismatch localizes the problem to a tick.
+// The trace is both the script of the run's external inputs (the kInject
+// events, re-applied at their recorded ticks by run_gtd's own tick loop) and
+// the oracle for its outputs (every event the re-execution produces, the
+// injections included). Because the engine is deterministic, the produced
+// stream either matches the recording event-for-event or the first mismatch
+// localizes the problem to a tick.
+#include "core/drive.hpp"
 #include "core/gtd.hpp"
 #include "trace/span_collector.hpp"
+#include "trace/surgery.hpp"
 
 namespace dtop {
-namespace {
-
-bool is_external(trace::TraceEventKind k) {
-  return k == trace::TraceEventKind::kSchedule ||
-         k == trace::TraceEventKind::kInject;
-}
-
-}  // namespace
 
 ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
                         Arena* arena) {
@@ -37,60 +32,30 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   cfg.protocol = h.config;
   cfg.transcript = &rr.transcript;
   cfg.spans = trace::has_span_events(rec);
-
+  // An engine of replay's own, so its stats survive a violation.
   GtdEngine engine(h.graph, h.root, cfg, num_threads, arena);
-  live.begin(h.graph, h.root, h.config);
-  engine.set_trace_sink(&live);
 
-  // External events indexed by their position in the recorded stream; they
-  // are re-applied (in recorded order) when the clock reads their tick, and
-  // the sink hooks then re-emit them, so they participate in the comparison
-  // like any other event.
-  std::vector<std::size_t> externals;
-  for (std::size_t i = 0; i < rec.events.size(); ++i) {
-    if (is_external(rec.events[i].kind)) externals.push_back(i);
-  }
-  std::size_t next_ext = 0;
-
+  // A recording that ends in kRunEnd was cut by termination (plus the
+  // drain) or by its budget, which is then the run-end tick. A recorded
+  // violation run stops mid-tick, possibly a few quiet ticks after its last
+  // event; allow some slack so the re-execution reaches (and reproduces)
+  // the fatal step.
   const Tick end_tick = rec.events.empty() ? 0 : rec.events.back().tick;
-  // A recorded violation run stops mid-tick, possibly a few quiet ticks
-  // after its last event; allow some slack so the re-execution reaches
-  // (and reproduces) the fatal step.
   const bool has_end = !rec.events.empty() &&
                        rec.events.back().kind == trace::TraceEventKind::kRunEnd;
-  const Tick budget = has_end ? end_tick : end_tick + 8;
-
-  const auto in_sync = [&] { return !live.mismatch(); };
 
   std::string violation;
+  GtdResult run;
   try {
-    while (in_sync() && engine.now() < budget) {
-      while (in_sync() && next_ext < externals.size() &&
-             rec.events[externals[next_ext]].tick == engine.now()) {
-        const trace::TraceEvent& ev = rec.events[externals[next_ext]];
-        if (ev.kind == trace::TraceEventKind::kSchedule) {
-          engine.schedule(ev.a);
-        } else {
-          engine.inject(ev.a, ev.payload);
-        }
-        ++next_ext;
-      }
-      if (!in_sync()) break;
-      engine.step();
-    }
-    if (in_sync() && has_end) {
-      const RunStatus status = engine.machine(h.root).terminated()
-                                   ? RunStatus::kTerminated
-                                   : RunStatus::kTickBudget;
-      live.finish(engine.now(), status);
-    }
+    drive_gtd(engine, h.config, trace::injections_in_range(rec, {}),
+              has_end ? end_tick : end_tick + 8, &live, run);
+    rr.stats = run.stats;
   } catch (const Error& e) {
     // A protocol violation during replay is legitimate iff the recording is
     // itself a violation trace and everything up to the crash matched.
     violation = e.what();
+    rr.stats = engine.stats();
   }
-
-  rr.stats = engine.stats();
 
   // Events a fatal tick emitted before the throw (e.g. the root's
   // transcript entries) were checked on arrival, so a faithful reproduction

@@ -6,8 +6,12 @@
 // edited injection list, under a fresh recorder. The output is a genuine
 // recording: it replays clean by construction, and a surgery that provokes
 // a protocol violation yields exactly what a live run would have left
-// behind — a partial stream without a terminal kRunEnd.
+// behind — a partial stream without a terminal kRunEnd. capture_trace is
+// the same re-execution for a failed run, written straight to disk.
+#include <fstream>
+
 #include "core/gtd.hpp"
+#include "trace/container.hpp"
 #include "trace/span_collector.hpp"
 
 namespace dtop {
@@ -39,6 +43,25 @@ RerecordResult rerecord_gtd(const trace::RecordedTrace& base,
   }
   out.trace = rec.take();
   return out;
+}
+
+bool capture_trace(const PortGraph& g, NodeId root, GtdOptions opt,
+                   const std::string& path) {
+  trace::TraceRecorder rec;
+  opt.trace = &rec;
+  if (opt.arena) opt.arena->reset();
+  try {
+    (void)run_gtd(g, root, opt);
+  } catch (const std::exception&) {
+    // Expected for violation runs; the recorder keeps the partial stream.
+  }
+  if (!rec.started()) return false;
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw Error("cannot open " + path);
+  trace::write_trace_dtr2(out, rec.take());
+  out.flush();
+  if (!out.good()) throw Error("write to " + path + " failed");
+  return true;
 }
 
 }  // namespace dtop

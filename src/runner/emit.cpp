@@ -1,7 +1,9 @@
 #include "runner/emit.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
+#include <thread>
 
 namespace dtop::runner {
 namespace {
@@ -32,6 +34,21 @@ std::string csv_quote(const std::string& s) {
   }
   out += "\"";
   return out;
+}
+
+// A table cell that fully parses as a double is emitted as a JSON number;
+// anything else is an escaped string. The tables format numbers with
+// std::to_string / format_double, both of which round-trip through strtod.
+void write_json_cell(std::ostream& os, const std::string& cell) {
+  if (!cell.empty()) {
+    char* end = nullptr;
+    (void)std::strtod(cell.c_str(), &end);
+    if (end == cell.c_str() + cell.size()) {
+      os << cell;
+      return;
+    }
+  }
+  os << '"' << json_escape(cell) << '"';
 }
 
 }  // namespace
@@ -139,6 +156,53 @@ void write_csv(std::ostream& os, const CampaignResult& result,
     if (opt.timing) os << ',' << format_ms(j.wall_ms);
     os << ',' << csv_quote(j.detail) << '\n';
   }
+}
+
+void write_bench_json(
+    std::ostream& os, const std::string& exp,
+    const std::vector<std::pair<std::string, Table>>& tables,
+    std::optional<int> bench_threads, bool quick) {
+  os << "{\n  \"experiment\": \"" << json_escape(exp) << "\",\n"
+     << "  \"env\": {\"compiler\": \"" << json_escape(__VERSION__)
+     << "\", \"build\": \""
+#ifdef NDEBUG
+     << "release"
+#else
+     << "debug"
+#endif
+     << "\", \"hardware_threads\": " << std::thread::hardware_concurrency();
+  if (bench_threads) os << ", \"bench_threads\": " << *bench_threads;
+  os << ", \"quick\": " << (quick ? "true" : "false") << "},\n"
+     << "  \"tables\": {";
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const auto& [name, table] = tables[t];
+    os << (t ? ",\n    \"" : "\n    \"") << json_escape(name)
+       << "\": {\"caption\": \"" << json_escape(table.caption())
+       << "\",\n     \"columns\": [";
+    const auto& header = table.header();
+    for (std::size_t c = 0; c < header.size(); ++c) {
+      os << (c ? ", " : "") << '"' << json_escape(header[c]) << '"';
+    }
+    os << "],\n     \"rows\": [";
+    const auto& rows = table.rows();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      os << (r ? ",\n       [" : "\n       [");
+      for (std::size_t c = 0; c < rows[r].size(); ++c) {
+        if (c) os << ", ";
+        write_json_cell(os, rows[r][c]);
+      }
+      os << "]";
+    }
+    os << (rows.empty() ? "]}" : "\n     ]}");
+  }
+  os << (tables.empty() ? "}\n}\n" : "\n  }\n}\n");
+}
+
+int bench_threads() {
+  const char* env = std::getenv("DTOP_BENCH_THREADS");
+  if (!env || !*env) return 1;
+  const long v = std::strtol(env, nullptr, 10);
+  return v >= 1 ? static_cast<int>(v) : 1;
 }
 
 }  // namespace dtop::runner

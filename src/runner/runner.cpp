@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <mutex>
 
-#include "core/gtd.hpp"
-#include "core/verify.hpp"
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/container.hpp"
-#include "trace/trace_io.hpp"
 
 namespace dtop::runner {
 namespace {
@@ -33,52 +28,7 @@ GtdOptions job_options(const JobSpec& job, const PortGraph& g) {
   return opt;
 }
 
-// Re-executes a failed job with a recorder attached and writes the capture
-// next to the campaign results. Jobs are deterministic, so the re-run
-// reproduces the failure — including a mid-run protocol violation, whose
-// partial trace is written without a terminal record.
-void capture_failure_trace(const JobSpec& job, const PortGraph& g,
-                           const std::string& trace_dir, JobResult& r,
-                           Arena* arena) {
-  trace::TraceRecorder rec;
-  GtdOptions opt = job_options(job, g);
-  opt.trace = &rec;
-  if (arena) arena->reset();  // the failed run's engine is gone by now
-  opt.arena = arena;
-  try {
-    (void)run_gtd(g, job.root, opt);
-  } catch (const std::exception&) {
-    // Expected for violation jobs; the recorder keeps the partial stream.
-  }
-  if (!rec.started()) return;
-  const std::string path =
-      trace_dir + "/job-" + std::to_string(job.index) + ".dtrace";
-  try {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw Error("cannot open " + path);
-    trace::write_trace_dtr2(out, rec.take());
-    out.flush();
-    if (!out.good()) throw Error("write to " + path + " failed");
-  } catch (const Error& e) {
-    r.detail += (r.detail.empty() ? "" : "; ");
-    r.detail += std::string("trace capture failed: ") + e.what();
-    return;
-  }
-  r.trace_file = path;
-}
-
 }  // namespace
-
-const char* to_cstr(JobStatus s) {
-  switch (s) {
-    case JobStatus::kExact: return "exact";
-    case JobStatus::kResidue: return "residue";
-    case JobStatus::kMismatch: return "mismatch";
-    case JobStatus::kBudget: return "budget";
-    case JobStatus::kViolation: return "violation";
-  }
-  return "?";
-}
 
 std::size_t CampaignResult::failed() const {
   std::size_t n = 0;
@@ -119,25 +69,9 @@ JobResult run_job(const JobSpec& job, const std::string& trace_dir,
     r.ticks = res.stats.ticks;
     r.messages = res.stats.messages;
     r.node_steps = res.stats.node_steps;
-    if (res.status != RunStatus::kTerminated) {
-      r.status = JobStatus::kBudget;
-      r.detail = "tick budget exhausted after " +
-                 std::to_string(res.stats.ticks) + " ticks";
-    } else if (!res.map_complete) {
-      r.status = JobStatus::kMismatch;
-      r.detail = "transcript did not yield a complete map";
-    } else {
-      const VerifyResult v = verify_map(g, job.root, res.map);
-      if (!v.ok) {
-        r.status = JobStatus::kMismatch;
-        r.detail = v.detail;
-      } else if (!res.end_state_clean) {
-        r.status = JobStatus::kResidue;
-        r.detail = "end state not pristine (Lemma 4.2)";
-      } else {
-        r.status = JobStatus::kExact;
-      }
-    }
+    Verdict v = judge(g, job.root, res);
+    r.status = v.outcome;
+    r.detail = std::move(v.detail);
     if (!injected) {
       // The run ended before the injection tick: an "exact" here means the
       // fault never happened, not that the protocol survived it.
@@ -147,11 +81,22 @@ JobResult run_job(const JobSpec& job, const std::string& trace_dir,
                   std::to_string(res.stats.ticks) + ")";
     }
   } catch (const std::exception& e) {
-    r.status = JobStatus::kViolation;
-    r.detail = e.what();
+    Verdict v = judge(e);
+    r.status = v.outcome;
+    r.detail = std::move(v.detail);
   }
   if (!r.ok() && !trace_dir.empty() && graph_ready) {
-    capture_failure_trace(job, g, trace_dir, r, arena);
+    // Jobs are deterministic, so the re-run reproduces the failure.
+    GtdOptions opt = job_options(job, g);
+    opt.arena = arena;
+    const std::string path =
+        trace_dir + "/job-" + std::to_string(job.index) + ".dtrace";
+    try {
+      if (capture_trace(g, job.root, opt, path)) r.trace_file = path;
+    } catch (const Error& e) {
+      r.detail += (r.detail.empty() ? "" : "; ");
+      r.detail += std::string("trace capture failed: ") + e.what();
+    }
   }
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)

@@ -17,21 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "core/gtd.hpp"
 #include "obs/engine_metrics.hpp"
 #include "runner/campaign.hpp"
 #include "support/arena.hpp"
 
 namespace dtop::runner {
-
-// How a job ended, most desirable first. kExact is the only success.
-enum class JobStatus : std::uint8_t {
-  kExact,      // terminated, map verified, end state pristine
-  kResidue,    // map exact but the end state kept protocol residue
-  kMismatch,   // terminated but the recovered map is wrong or incomplete
-  kBudget,     // tick budget exhausted before the root terminated
-  kViolation,  // a protocol invariant (or other exception) fired
-};
-const char* to_cstr(JobStatus s);
 
 struct JobResult {
   JobSpec spec;
@@ -39,15 +30,15 @@ struct JobResult {
   NodeId n = 0;       // actual node count (size hints snap per family)
   std::uint32_t d = 0;  // directed diameter
   std::uint32_t e = 0;  // wires
-  JobStatus status = JobStatus::kViolation;
-  std::string detail;  // mismatch / violation explanation ("" when exact)
+  Outcome status = Outcome::kViolation;  // judge()'s verdict on the run
+  std::string detail;  // the verdict's detail, plus injection/capture notes
   Tick ticks = 0;
   std::uint64_t messages = 0;
   std::uint64_t node_steps = 0;
   double wall_ms = 0.0;  // wall clock; excluded from deterministic emits
   std::string trace_file;  // post-mortem trace, when capture was requested
 
-  bool ok() const { return status == JobStatus::kExact; }
+  bool ok() const { return status == Outcome::kExact; }
 };
 
 struct CampaignResult {

@@ -24,12 +24,13 @@
 namespace dtop::service {
 namespace {
 
-runner::JobStatus status_from_string(const std::string& s) {
-  if (s == "exact") return runner::JobStatus::kExact;
-  if (s == "residue") return runner::JobStatus::kResidue;
-  if (s == "mismatch") return runner::JobStatus::kMismatch;
-  if (s == "budget") return runner::JobStatus::kBudget;
-  return runner::JobStatus::kViolation;
+// The inverse of to_cstr(Outcome); anything else reads as a violation.
+Outcome outcome_from_string(const std::string& s) {
+  for (const Outcome o : {Outcome::kExact, Outcome::kResidue,
+                          Outcome::kMismatch, Outcome::kBudget}) {
+    if (s == to_cstr(o)) return o;
+  }
+  return Outcome::kViolation;
 }
 
 }  // namespace
@@ -615,15 +616,16 @@ runner::JobResult remote_run_job(Dispatcher& dispatcher,
     r.n = static_cast<NodeId>(row_obj.get_u64("n", 0));
     r.d = static_cast<std::uint32_t>(row_obj.get_u64("d", 0));
     r.e = static_cast<std::uint32_t>(row_obj.get_u64("e", 0));
-    r.status = status_from_string(row_obj.get_string("status", "violation"));
+    r.status = outcome_from_string(row_obj.get_string("status"));
     r.detail = row_obj.get_string("detail");
     r.ticks = row_obj.get_i64("ticks", 0);
     r.messages = row_obj.get_u64("messages", 0);
     r.node_steps = row_obj.get_u64("node_steps", 0);
     remote_row = true;
   } catch (const std::exception& e) {
-    r.status = runner::JobStatus::kViolation;
-    r.detail = e.what();
+    Verdict v = judge(e);
+    r.status = v.outcome;
+    r.detail = std::move(v.detail);
   }
   if (!r.ok() && remote_row && !trace_dir.empty()) {
     // Jobs are pure functions of their spec: the local re-run reproduces

@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include <chrono>
@@ -16,23 +15,20 @@
 #include "runner/runner.hpp"
 #include "service/cache_store.hpp"
 #include "service/metrics_wire.hpp"
-#include "trace/container.hpp"
-#include "trace/recorder.hpp"
-#include "trace/trace_io.hpp"
 
 namespace dtop::service {
 namespace {
 
-// A determine run that ended in anything but kExact. Carries the runner's
-// status vocabulary so daemon responses and sweep rows speak one language.
+// A determine run that ended in anything but kExact. Carries judge()'s
+// verdict, so daemon responses and sweep rows speak one language.
 class DetermineError : public Error {
  public:
-  DetermineError(std::string status, std::string detail)
-      : Error(std::move(detail)), status_(std::move(status)) {}
-  const std::string& status() const { return status_; }
+  explicit DetermineError(Verdict v)
+      : Error(v.detail), verdict_(std::move(v)) {}
+  const Verdict& verdict() const { return verdict_; }
 
  private:
-  std::string status_;
+  Verdict verdict_;
 };
 
 std::string hash_hex(std::uint64_t h) {
@@ -115,32 +111,16 @@ namespace {
 
 // One deterministic protocol execution; throws DetermineError on every
 // non-exact outcome so only verified results ever reach the cache.
-CachedMap execute_determine(const PortGraph& g, NodeId root,
-                            const runner::EngineConfig& config, Tick max_ticks,
-                            const std::string& label, Arena* arena,
+CachedMap execute_determine(const PortGraph& g, NodeId root, GtdOptions gopt,
+                            const std::string& label,
                             const obs::EngineMetrics* metrics,
                             int metrics_shard) {
-  GtdOptions gopt;
-  gopt.protocol = config.protocol;
-  gopt.max_ticks = max_ticks;
-  if (arena) arena->reset();  // previous request's engine state is dead
-  gopt.arena = arena;
+  gopt.arena->reset();  // the previous request's engine state is dead
   gopt.metrics = metrics;
   gopt.metrics_shard = metrics_shard;
   const GtdResult res = run_gtd(g, root, gopt);
-  if (res.status != RunStatus::kTerminated) {
-    throw DetermineError("budget", "tick budget exhausted after " +
-                                       std::to_string(res.stats.ticks) +
-                                       " ticks");
-  }
-  if (!res.map_complete) {
-    throw DetermineError("mismatch", "transcript did not yield a complete map");
-  }
-  const VerifyResult v = verify_map(g, root, res.map);
-  if (!v.ok) throw DetermineError("mismatch", v.detail);
-  if (!res.end_state_clean) {
-    throw DetermineError("residue", "end state not pristine (Lemma 4.2)");
-  }
+  Verdict v = judge(g, root, res);
+  if (!v.ok()) throw DetermineError(std::move(v));
   CachedMap out;
   out.map_text = map_to_string(res.map);
   out.label = label;
@@ -151,42 +131,6 @@ CachedMap execute_determine(const PortGraph& g, NodeId root,
   out.messages = res.stats.messages;
   out.node_steps = res.stats.node_steps;
   return out;
-}
-
-// Post-mortem hook: re-runs a failed determine with a recorder attached and
-// writes the capture as req-<seq>.dtrace (the run is deterministic, so the
-// re-run reproduces the failure exactly). Returns the path, or "" when
-// nothing could be captured.
-std::string capture_determine_trace(const PortGraph& g, NodeId root,
-                                    const runner::EngineConfig& config,
-                                    Tick max_ticks,
-                                    const std::string& trace_dir,
-                                    std::uint64_t ticket, Arena* arena) {
-  trace::TraceRecorder rec;
-  GtdOptions gopt;
-  gopt.protocol = config.protocol;
-  gopt.max_ticks = max_ticks;
-  gopt.trace = &rec;
-  if (arena) arena->reset();  // the failed run's engine is gone by now
-  gopt.arena = arena;
-  try {
-    (void)run_gtd(g, root, gopt);
-  } catch (const std::exception&) {
-    // Expected for violation runs; the recorder keeps the partial stream.
-  }
-  if (!rec.started()) return "";
-  const std::string path =
-      trace_dir + "/req-" + std::to_string(ticket) + ".dtrace";
-  try {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return "";
-    trace::write_trace_dtr2(out, rec.take());
-    out.flush();
-    if (!out.good()) return "";
-  } catch (const Error&) {
-    return "";  // capture is best-effort; the determine already failed
-  }
-  return path;
 }
 
 std::vector<NodeId> parse_sizes(const std::string& text) {
@@ -364,7 +308,6 @@ std::string Service::handle_line(const std::string& line,
 std::string Service::handle_determine(const JsonObject& req,
                                       const std::string& id,
                                       std::uint64_t ticket, int worker) {
-  Arena* arena = &arenas_[static_cast<std::size_t>(worker)];
   std::string label;
   const PortGraph g = request_graph(req, &label);
   const NodeId root = request_root(req, g);
@@ -374,12 +317,17 @@ std::string Service::handle_determine(const JsonObject& req,
   const bool include_map = req.get_bool("include_map", true);
 
   const CacheKey key{canonical_hash(g, root), config.label};
+  GtdOptions gopt;
+  gopt.protocol = config.protocol;
+  gopt.max_ticks = max_ticks;
+  gopt.arena = &arenas_[static_cast<std::size_t>(worker)];
 
   JsonWriter w;
   if (!id.empty()) w.field_raw("id", id);
   w.field("op", "determine");
 
   std::string outcome;
+  Verdict failure;
   try {
     // The tick budget discriminates the *in-flight* identity only: budgets
     // never change a success (so completed entries ignore them), but a
@@ -388,8 +336,8 @@ std::string Service::handle_determine(const JsonObject& req,
     const CachedMap r = cache_.get_or_compute(
         key,
         [&] {
-          return execute_determine(g, root, config, max_ticks, label, arena,
-                                   &engine_metrics_, worker);
+          return execute_determine(g, root, gopt, label, &engine_metrics_,
+                                   worker);
         },
         &outcome, static_cast<std::uint64_t>(max_ticks));
     // Only the computing caller persists the entry (hits replayed it, and
@@ -397,7 +345,7 @@ std::string Service::handle_determine(const JsonObject& req,
     // most one record per fresh determination.
     if (store_ && outcome == "miss") store_->append(key, r);
     w.field("ok", true)
-        .field("status", "exact")
+        .field("status", to_cstr(Outcome::kExact))
         .field("cache", outcome)
         .field("key", hash_hex(key.graph_hash))
         .field("config", config.label)
@@ -411,25 +359,25 @@ std::string Service::handle_determine(const JsonObject& req,
     if (include_map) w.field("map", r.map_text);
     return w.str();
   } catch (const DetermineError& e) {
-    served_.errors.fetch_add(1, std::memory_order_relaxed);
-    w.field("ok", false)
-        .field("status", e.status())
-        .field("cache", outcome)
-        .field("key", hash_hex(key.graph_hash))
-        .field("error", std::string(e.what()));
+    failure = e.verdict();
   } catch (const Error& e) {
-    // A protocol-invariant violation (fail-loud posture): the run threw.
-    served_.errors.fetch_add(1, std::memory_order_relaxed);
-    w.field("ok", false)
-        .field("status", "violation")
-        .field("cache", outcome)
-        .field("key", hash_hex(key.graph_hash))
-        .field("error", std::string(e.what()));
+    failure = judge(e);  // the run threw: a protocol-invariant violation
   }
+  served_.errors.fetch_add(1, std::memory_order_relaxed);
+  w.field("ok", false)
+      .field("status", to_cstr(failure.outcome))
+      .field("cache", outcome)
+      .field("key", hash_hex(key.graph_hash))
+      .field("error", failure.detail);
   if (!opt_.trace_dir.empty()) {
-    const std::string path = capture_determine_trace(
-        g, root, config, max_ticks, opt_.trace_dir, ticket, arena);
-    if (!path.empty()) w.field("trace", path);
+    // Post-mortem: the run is deterministic, so the re-run reproduces the
+    // failure. Capture is best-effort; the determine already failed.
+    const std::string path =
+        opt_.trace_dir + "/req-" + std::to_string(ticket) + ".dtrace";
+    try {
+      if (capture_trace(g, root, gopt, path)) w.field("trace", path);
+    } catch (const Error&) {
+    }
   }
   return w.str();
 }
@@ -506,7 +454,7 @@ std::string Service::handle_sweep(const JsonObject& req, const std::string& id,
         .field("seed", j.spec.seed)
         .field("config", j.spec.config.label)
         .field("scenario", j.spec.scenario.label)
-        .field("status", runner::to_cstr(j.status))
+        .field("status", to_cstr(j.status))
         .field("n", static_cast<std::uint64_t>(j.n))
         .field("d", static_cast<std::uint64_t>(j.d))
         .field("e", static_cast<std::uint64_t>(j.e))

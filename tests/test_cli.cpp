@@ -491,6 +491,35 @@ TEST(CliMain, TraceRecordInspectReplayRoundTrip) {
   EXPECT_NE(rout.str().find("Replay OK"), std::string::npos);
 }
 
+TEST(CliMain, RecordReplayAndRunReportOneTickCount) {
+  // record, replay and run take their stats at the termination tick, not
+  // after the 8 drain ticks the trace also holds.
+  const auto ticks_in = [](const std::string& text, const std::string& key) {
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos ? -1 : std::stol(text.substr(at + key.size()));
+  };
+  const std::string path = temp_path("ticks.dtr2");
+  std::ostringstream out, err;
+  ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "9",
+                      "--out", path},
+                     out, err),
+            0)
+      << err.str();
+  std::ostringstream rout, rerr;
+  ASSERT_EQ(cli_main({"trace", "replay", "--trace", path}, rout, rerr), 0)
+      << rerr.str();
+  std::ostringstream pout, perr;
+  ASSERT_EQ(cli_main({"run", "--family", "torus", "--nodes", "9", "--quiet"},
+                     pout, perr),
+            0)
+      << perr.str();
+  const long recorded = ticks_in(out.str(), " events, ");
+  EXPECT_EQ(recorded, 2029);
+  EXPECT_EQ(ticks_in(rout.str(), "byte-identically ("), recorded);
+  EXPECT_EQ(ticks_in(pout.str(), "terminated after "), recorded);
+}
+
 TEST(CliMain, TraceDiffPinpointsPerturbedTick) {
   const std::string a_path = temp_path("diff_a.dtrace");
   const std::string b_path = temp_path("diff_b.dtrace");

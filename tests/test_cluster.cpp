@@ -174,7 +174,7 @@ TEST(DispatcherRouting, AllShardsDownIsAnErrorNotAHang) {
   job.nodes = 9;
   job.seed = 1;
   const runner::JobResult r = remote_run_job(d, job, "");
-  EXPECT_EQ(r.status, runner::JobStatus::kViolation);
+  EXPECT_EQ(r.status, Outcome::kViolation);
   EXPECT_NE(r.detail.find("no cluster shard reachable"), std::string::npos);
 
   // With a trace dir set, a transport failure must STILL surface as a
@@ -185,7 +185,7 @@ TEST(DispatcherRouting, AllShardsDownIsAnErrorNotAHang) {
   std::filesystem::remove_all(trace_dir);
   std::filesystem::create_directories(trace_dir);
   const runner::JobResult traced = remote_run_job(d, job, trace_dir);
-  EXPECT_EQ(traced.status, runner::JobStatus::kViolation);
+  EXPECT_EQ(traced.status, Outcome::kViolation);
   EXPECT_NE(traced.detail.find("no cluster shard reachable"),
             std::string::npos);
   EXPECT_TRUE(traced.trace_file.empty());

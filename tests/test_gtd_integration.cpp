@@ -1,6 +1,7 @@
 // End-to-end integration: run the full GTD protocol and check Theorem 4.1
 // (the recovered map equals the network) plus the end-state cleanliness of
-// Lemma 4.2, on hand-built and family networks.
+// Lemma 4.2, on hand-built and family networks; and judge(), the one
+// verdict every caller reads those properties through.
 #include <gtest/gtest.h>
 
 #include "core/gtd.hpp"
@@ -181,6 +182,58 @@ TEST(GtdIntegration, EveryEdgeMappedExactlyOnce) {
   std::size_t forwards = 0;
   for (const RcaRecord& rec : r.records) forwards += rec.forward ? 1 : 0;
   EXPECT_EQ(forwards, g.num_wires());
+}
+
+TEST(Verdict, NamesEachOutcomeWithItsText) {
+  const PortGraph g = directed_torus(3, 3);
+  const GtdResult clean = run_gtd(g, 0);
+  const Verdict exact = judge(g, 0, clean);
+  EXPECT_TRUE(exact.ok());
+  EXPECT_EQ(exact.outcome, Outcome::kExact);
+  EXPECT_EQ(exact.detail, "");
+
+  // An exact map on a network left with protocol residue.
+  GtdResult residue = clean;
+  residue.end_state_clean = false;
+  const Verdict r = judge(g, 0, residue);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.outcome, Outcome::kResidue);
+  EXPECT_EQ(r.detail, "end state not pristine (Lemma 4.2)");
+
+  // A transcript that never completed the map: a mismatch, even though
+  // the (stale) map would verify, and ahead of the residue.
+  GtdResult incomplete = residue;
+  incomplete.map_complete = false;
+  const Verdict i = judge(g, 0, incomplete);
+  EXPECT_EQ(i.outcome, Outcome::kMismatch);
+  EXPECT_EQ(i.detail, "transcript did not yield a complete map");
+
+  // A complete but wrong map carries verify_map's explanation.
+  GtdResult wrong = clean;
+  wrong.map = TopologyMap(g.delta());
+  const VerifyResult v = verify_map(g, 0, wrong.map);
+  ASSERT_FALSE(v.ok);
+  const Verdict m = judge(g, 0, wrong);
+  EXPECT_EQ(m.outcome, Outcome::kMismatch);
+  EXPECT_EQ(m.detail, v.detail);
+
+  GtdOptions strangled;
+  strangled.max_ticks = 50;
+  GtdResult cut = run_gtd(g, 0, strangled);
+  cut.end_state_clean = false;
+  const Verdict b = judge(g, 0, cut);
+  EXPECT_EQ(b.outcome, Outcome::kBudget);
+  EXPECT_EQ(b.detail, "tick budget exhausted after 50 ticks");
+
+  const Verdict x = judge(Error("loop token at unmarked processor"));
+  EXPECT_EQ(x.outcome, Outcome::kViolation);
+  EXPECT_EQ(x.detail, "loop token at unmarked processor");
+
+  EXPECT_STREQ(to_cstr(Outcome::kExact), "exact");
+  EXPECT_STREQ(to_cstr(Outcome::kResidue), "residue");
+  EXPECT_STREQ(to_cstr(Outcome::kMismatch), "mismatch");
+  EXPECT_STREQ(to_cstr(Outcome::kBudget), "budget");
+  EXPECT_STREQ(to_cstr(Outcome::kViolation), "violation");
 }
 
 }  // namespace

@@ -61,6 +61,30 @@ TEST(Replay, RecordReplayRoundTripsAcrossFamiliesAndThreadCounts) {
   }
 }
 
+TEST(Replay, StatsMatchTheRecordedRunAtTerminationAndBudget) {
+  // run_gtd and replay_gtd share one tick loop: both take their stats at
+  // the termination tick (not after the 8 drain ticks the trace also
+  // holds), or at the budget tick of a budget@T run.
+  const PortGraph g = directed_torus(3, 3);
+  for (const Tick budget : {Tick{0}, Tick{300}}) {
+    SCOPED_TRACE("max_ticks " + std::to_string(budget));
+    trace::TraceRecorder rec;
+    GtdOptions opt;
+    opt.max_ticks = budget;
+    opt.trace = &rec;
+    const GtdResult run = run_gtd(g, 0, opt);
+    EXPECT_EQ(run.status,
+              budget ? RunStatus::kTickBudget : RunStatus::kTerminated);
+    const trace::RecordedTrace t = rec.take();
+    const ReplayResult r = replay_gtd(t);
+    ASSERT_TRUE(r.ok) << r.detail;
+    EXPECT_EQ(r.stats.ticks, run.stats.ticks);
+    EXPECT_EQ(r.stats.messages, run.stats.messages);
+    EXPECT_EQ(r.stats.node_steps, run.stats.node_steps);
+    EXPECT_EQ(t.events.back().tick, run.stats.ticks + (budget ? 0 : 8));
+  }
+}
+
 TEST(Replay, ReplayRebuildsTheTranscript) {
   const PortGraph g = directed_torus(3, 3);
   const trace::RecordedTrace t = record_run(g, 1);
@@ -321,7 +345,7 @@ TEST(RunnerTraceCapture, FailedJobsGetReplayableTraces) {
   // The clean job records nothing; the budget-failed job gets a capture.
   EXPECT_TRUE(result.jobs[0].ok());
   EXPECT_TRUE(result.jobs[0].trace_file.empty());
-  EXPECT_EQ(result.jobs[1].status, runner::JobStatus::kBudget);
+  EXPECT_EQ(result.jobs[1].status, Outcome::kBudget);
   ASSERT_FALSE(result.jobs[1].trace_file.empty());
 
   std::ifstream in(result.jobs[1].trace_file, std::ios::binary);
@@ -349,7 +373,7 @@ TEST(RunnerTraceCapture, ViolationJobsGetPartialTraces) {
   const runner::CampaignResult result = runner::run_campaign(spec, opt);
   ASSERT_EQ(result.jobs.size(), 1u);
   const runner::JobResult& job = result.jobs[0];
-  if (job.status != runner::JobStatus::kViolation) {
+  if (job.status != Outcome::kViolation) {
     GTEST_SKIP() << "injection happened to be harmless: " << job.detail;
   }
   ASSERT_FALSE(job.trace_file.empty());

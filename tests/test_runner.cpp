@@ -194,7 +194,7 @@ TEST(Runner, JobFailuresAreIsolated) {
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_TRUE(result.jobs[0].ok()) << result.jobs[0].detail;
-  EXPECT_EQ(result.jobs[1].status, JobStatus::kBudget);
+  EXPECT_EQ(result.jobs[1].status, Outcome::kBudget);
   EXPECT_FALSE(result.jobs[1].detail.empty());
   EXPECT_EQ(result.failed(), 1u);
   EXPECT_FALSE(result.all_ok());
@@ -227,7 +227,7 @@ TEST(Runner, UnreachedInjectionTickIsReportedInDetail) {
   spec.scenarios = {make_scenario("kill@100000000")};
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.jobs.size(), 1u);
-  EXPECT_EQ(result.jobs[0].status, JobStatus::kExact);
+  EXPECT_EQ(result.jobs[0].status, Outcome::kExact);
   EXPECT_NE(result.jobs[0].detail.find("never reached"), std::string::npos)
       << result.jobs[0].detail;
 }
@@ -276,6 +276,39 @@ TEST(Emit, JsonHasPerJobFieldsAndEscapes) {
 
   EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(Emit, BenchJsonShape) {
+  // The one BENCH_<exp>.json writer of the bench binaries and loadgen:
+  // numeric cells as JSON numbers, others as strings, bench_threads only
+  // when given; a table without rows closes on the same line.
+  Table full({"label", "ticks", "ratio"});
+  full.set_caption("c \"q\"");
+  full.add_row({"torus-3x3", "2029", "56.361"});
+  full.add_row({"x", "-", "1e3"});
+  Table empty({"a"});
+  std::ostringstream with, without;
+  write_bench_json(with, "E0", {{"full", full}, {"empty", empty}}, 3, true);
+  write_bench_json(without, "LOADGEN", {{"full", full}}, std::nullopt, false);
+  const std::string tables =
+      "  \"tables\": {\n    \"full\": {\"caption\": \"c \\\"q\\\"\",\n"
+      "     \"columns\": [\"label\", \"ticks\", \"ratio\"],\n"
+      "     \"rows\": [\n       [\"torus-3x3\", 2029, 56.361],\n"
+      "       [\"x\", \"-\", 1e3]\n     ]}";
+  EXPECT_EQ(with.str().rfind("{\n  \"experiment\": \"E0\",\n  \"env\": {", 0),
+            0u);
+  EXPECT_NE(with.str().find(", \"bench_threads\": 3, \"quick\": true},\n" +
+                            tables +
+                            ",\n    \"empty\": {\"caption\": \"\",\n"
+                            "     \"columns\": [\"a\"],\n"
+                            "     \"rows\": []}\n  }\n}\n"),
+            std::string::npos)
+      << with.str();
+  EXPECT_EQ(without.str().find("bench_threads"), std::string::npos);
+  EXPECT_NE(without.str().find(", \"quick\": false},\n" + tables +
+                               "\n  }\n}\n"),
+            std::string::npos)
+      << without.str();
 }
 
 TEST(Cancel, PreSetFlagStopsBeforeAnyJob) {
